@@ -44,6 +44,7 @@ from repro.core.propagation import (
     DEFAULT_TOLERANCE as PROPAGATION_TOLERANCE,
 )
 from repro.core.reduction import reduce_graph
+from repro.core.reliability import STOCHASTIC_STRATEGIES
 from repro.errors import CycleError, GraphError, RankingError
 from repro.utils.rng import RngLike
 
@@ -56,6 +57,8 @@ __all__ = [
     "naive_reliability_compiled",
     "traversal_reliability_compiled",
     "reliability_scores_compiled",
+    "reduced_compiled",
+    "samples_reduced_graph",
 ]
 
 NodeId = Hashable
@@ -455,6 +458,19 @@ def traversal_reliability_compiled(
     return _block_reliability(cg, trials, rng, all_nodes, block_size)
 
 
+def samples_reduced_graph(strategy: str, reduce: object = True) -> bool:
+    """Whether reliability ``strategy`` samples the *reduced* graph: the
+    Monte Carlo strategies with ``reduce`` on, and ``"auto"`` always."""
+    return strategy in STOCHASTIC_STRATEGIES and bool(reduce or strategy == "auto")
+
+
+def reduced_compiled(qg: QueryGraph) -> CompiledGraph:
+    """The CSR form of ``qg`` after the §3.1 reductions — the graph the
+    reducing Monte Carlo strategies sample."""
+    working, _ = reduce_graph(qg)
+    return compile_graph(working)
+
+
 def reliability_scores_compiled(
     qg: Optional[QueryGraph] = None,
     compiled: Optional[CompiledGraph] = None,
@@ -462,6 +478,7 @@ def reliability_scores_compiled(
     trials: int = 1000,
     reduce: bool = True,
     rng: RngLike = None,
+    reduced: Optional[CompiledGraph] = None,
 ) -> Dict[NodeId, float]:
     """Compiled front door mirroring
     :func:`repro.core.reliability.reliability_scores`.
@@ -470,7 +487,8 @@ def reliability_scores_compiled(
     dict-level solvers shared by both backends; the Monte Carlo
     strategies run the block-sampled kernel. When reduction is applied
     the reduced graph is recompiled (a precompiled IR of the unreduced
-    graph cannot be reused).
+    graph cannot be reused) unless ``reduced`` supplies that IR, as
+    :func:`reduced_compiled` built it — the engine memoises it per graph.
     """
     if strategy == "exact":
         if qg is None:
@@ -480,11 +498,13 @@ def reliability_scores_compiled(
         if qg is None:
             raise GraphError("closed-form reliability needs the QueryGraph")
         return closed_form_reliability(qg, fallback="exact").scores
-    if strategy in ("mc", "auto", "naive-mc"):
+    if strategy in STOCHASTIC_STRATEGIES:
         cg = compiled
-        if (reduce or strategy == "auto") and qg is not None:
-            working, _ = reduce_graph(qg)
-            cg = compile_graph(working)
+        if samples_reduced_graph(strategy, reduce):
+            if reduced is not None:
+                cg = reduced
+            elif qg is not None:
+                cg = reduced_compiled(qg)
         cg = _ensure_compiled(qg, cg)
         return _block_reliability(cg, trials, rng, all_nodes=False)
     raise RankingError(f"unknown reliability strategy {strategy!r}")

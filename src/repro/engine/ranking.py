@@ -28,9 +28,12 @@ Three caches cooperate:
   repair (every relevant change then re-materialises cold);
 * the **compile cache** maps live ``QueryGraph`` objects to their
   :class:`~repro.core.compile.CompiledGraph` (weakly keyed, so graphs
-  are evicted when the caller drops them);
+  are evicted when the caller drops them). Beside it, a weakly keyed
+  memo holds the compiled *reduced* graph that the reducing Monte Carlo
+  reliability strategies sample, so a fresh seed pays only the kernel;
 * the **score cache** maps ``(fingerprint, method, options)`` to
-  computed scores, bounded LRU. Only deterministic requests are cached:
+  computed scores, bounded LRU, each entry packed as a keys tuple plus
+  one float64 array. Only deterministic requests are cached:
   Monte Carlo reliability is cacheable only when seeded with an
   integer, and options carrying stateful generators bypass the cache.
 
@@ -47,8 +50,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.compile import CompiledGraph, compile_graph, patch_compiled
 from repro.core.graph import QueryGraph
+from repro.core.kernels import reduced_compiled, samples_reduced_graph
 from repro.core.ranker import BACKENDS, RankedResult, rank, resolve_method
 from repro.core.reliability import STOCHASTIC_STRATEGIES
 from repro.errors import RankingError
@@ -187,17 +193,44 @@ class _InFlightBuild:
         self.error: Optional[BaseException] = None
 
 
+#: one score-cache entry: answer keys plus their float64 scores
+_ScoreEntry = Tuple[Tuple[NodeId, ...], np.ndarray]
+
+
+def _pack_scores(scores: Mapping[NodeId, float]) -> _ScoreEntry:
+    """Store ``scores`` as a keys tuple plus one float64 array — about a
+    third of the memory of a dict of boxed floats. Every scoring path
+    returns Python floats, which a float64 holds exactly, so
+    :func:`_unpack_scores` restores the same keys, order and bits."""
+    return tuple(scores), np.fromiter(
+        scores.values(), dtype=np.float64, count=len(scores)
+    )
+
+
+def _unpack_scores(entry: _ScoreEntry) -> Dict[NodeId, float]:
+    """A fresh scores dict from a cache entry (callers may mutate it)."""
+    keys, values = entry
+    return dict(zip(keys, values.tolist()))
+
+
+def _samples_reduced(method: str, options: Mapping[str, object]) -> bool:
+    """Whether the compiled backend samples the reduced graph for this
+    request (the reducing Monte Carlo reliability strategies)."""
+    return method == "reliability" and samples_reduced_graph(
+        options.get("strategy", "auto"), options.get("reduce", True)
+    )
+
+
 def _consumes_ir(method: str, options: Mapping[str, object]) -> bool:
-    """Whether the compiled backend actually reads a precompiled IR for
-    this request. Reliability's closed/exact strategies delegate to the
-    dict-level solvers, and its reducing Monte Carlo strategies compile
-    the *reduced* graph themselves."""
+    """Whether the compiled backend actually reads a precompiled IR of
+    the graph itself for this request. Reliability's closed/exact
+    strategies delegate to the dict-level solvers, and its reducing
+    Monte Carlo strategies sample the *reduced* graph's IR instead."""
     if method != "reliability":
         return True
-    strategy = options.get("strategy", "auto")
-    if strategy in ("closed", "exact"):
+    if options.get("strategy", "auto") in ("closed", "exact"):
         return False
-    return strategy != "auto" and not options.get("reduce", True)
+    return not _samples_reduced(method, options)
 
 
 def _freeze_option(value: object) -> Optional[object]:
@@ -255,7 +288,13 @@ class RankingEngine:
         self._compiled: "weakref.WeakKeyDictionary[QueryGraph, CompiledGraph]" = (
             weakref.WeakKeyDictionary()
         )
-        self._scores: "OrderedDict[Tuple, Dict[NodeId, float]]" = OrderedDict()
+        #: live graph -> the CSR form of its reduced graph, which the
+        #: reducing Monte Carlo strategies sample; built on first use so
+        #: each request pays only the sampling kernel
+        self._reduced: "weakref.WeakKeyDictionary[QueryGraph, CompiledGraph]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._scores: "OrderedDict[Tuple, _ScoreEntry]" = OrderedDict()
         #: query signature -> (mediator, its epoch snapshot at execution,
         #: graph, the build stats of the original materialisation, and —
         #: under incremental mode with the batched builder — the build's
@@ -475,8 +514,8 @@ class RankingEngine:
         if score_key is None:
             return None
         with self._lock:
-            scores = self._scores.get(score_key)
-            if scores is None:
+            entry = self._scores.get(score_key)
+            if entry is None:
                 return None
             self._scores.move_to_end(score_key)
             self.stats.score_hits += 1
@@ -488,7 +527,7 @@ class RankingEngine:
                     mediator, snapshot, qg, build_stats, probe_cache
                 )
                 self._graphs.move_to_end(key)
-            return qg, RankedResult(method=canonical, scores=dict(scores))
+        return qg, RankedResult(method=canonical, scores=_unpack_scores(entry))
 
     def _repair(
         self,
@@ -610,14 +649,28 @@ class RankingEngine:
             # one winner so every caller shares a single CompiledGraph
             return self._compiled.setdefault(qg, compiled)
 
+    def _reduced_compiled(self, qg: QueryGraph) -> CompiledGraph:
+        """The CSR form of ``qg``'s reduced graph, built at most once per
+        live graph. Graphs are not mutated after build (a repair returns
+        a new graph), so the memo is exactly what a cold call builds."""
+        with self._lock:
+            cached = self._reduced.get(qg)
+        if cached is not None:
+            return cached
+        reduced = reduced_compiled(qg)
+        with self._lock:
+            return self._reduced.setdefault(qg, reduced)
+
     def invalidate(self, qg: Optional[QueryGraph] = None) -> None:
         """Drop cached state for ``qg`` (or everything when ``None``)."""
         with self._lock:
             if qg is None:
                 self._compiled = weakref.WeakKeyDictionary()
+                self._reduced = weakref.WeakKeyDictionary()
                 self._scores.clear()
                 self._graphs.clear()
                 return
+            self._reduced.pop(qg, None)
             compiled = self._compiled.pop(qg, None)
             if compiled is not None:
                 stale = [k for k in self._scores if k[0] == compiled.fingerprint]
@@ -687,7 +740,7 @@ class RankingEngine:
         chosen_backend = backend or self.backend
         # compile only when the request can use it: the compiled backend
         # consumes the CSR form (except the reliability strategies that
-        # delegate to dict-level solvers or recompile a reduced graph),
+        # delegate to dict-level solvers or sample the reduced graph),
         # and the score cache keys its fingerprint
         consumes_ir = chosen_backend == "compiled" and _consumes_ir(
             canonical, options
@@ -705,9 +758,14 @@ class RankingEngine:
                 if cached is not None:
                     self._scores.move_to_end(key)
                     self.stats.score_hits += 1
-                    return RankedResult(method=canonical, scores=dict(cached)), True
+            if cached is not None:
+                return RankedResult(
+                    method=canonical, scores=_unpack_scores(cached)
+                ), True
         with self._lock:
             self.stats.score_misses += 1
+        if chosen_backend == "compiled" and _samples_reduced(canonical, options):
+            options = {**options, "reduced": self._reduced_compiled(qg)}
         result = rank(
             qg,
             canonical,
@@ -716,8 +774,9 @@ class RankingEngine:
             **options,
         )
         if key is not None:
+            entry = _pack_scores(result.scores)
             with self._lock:
-                self._scores[key] = dict(result.scores)
+                self._scores[key] = entry
                 while len(self._scores) > self.max_cached_scores:
                     self._scores.popitem(last=False)
         return result, False

@@ -68,6 +68,9 @@ class TableChangeLog:
     entries but still one call). ``pre_image`` is ``None`` for inserts
     and the pre-mutation row dict (already copied by the facade) for
     updates and deletes.
+
+    The log itself takes no lock: its owning table appends and reads it
+    under the table's log lock (see ``Table.changes_since``).
     """
 
     def __init__(self, limit: int = 1024):

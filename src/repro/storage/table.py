@@ -13,6 +13,7 @@ graph builders and engine caches work identically across them.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
@@ -97,6 +98,11 @@ class Table:
         self.version = 0
         #: bounded row-level mutation log behind :meth:`changes_since`
         self._change_log = TableChangeLog()
+        #: serialises log appends + version publication against
+        #: :meth:`changes_since`, so a reader never iterates a deque
+        #: being appended to, and never sees a version whose log
+        #: entries are not recorded yet
+        self._log_lock = threading.Lock()
 
         self.primary_key: Optional[Tuple[str, ...]] = None
         if primary_key:
@@ -188,8 +194,7 @@ class Table:
         row_id = self._next_row_id
         self._backend.insert(row_id, stored)
         self._next_row_id += 1
-        self.version += 1
-        self._change_log.record(self.version, "insert", row_id, None)
+        self._commit("insert", [(row_id, None)])
         return row_id
 
     def insert_many(self, rows: Sequence[Mapping[str, Any]]) -> List[int]:
@@ -220,10 +225,7 @@ class Table:
         )
         self._backend.insert_rows(list(zip(row_ids, stored_batch)))
         self._next_row_id += len(stored_batch)
-        base = self.version
-        self.version += len(stored_batch)
-        for offset, row_id in enumerate(row_ids, start=1):
-            self._change_log.record(base + offset, "insert", row_id, None)
+        self._commit("insert", [(row_id, None) for row_id in row_ids])
         return row_ids
 
     def update(self, row_id: int, changes: Mapping[str, Any]) -> None:
@@ -236,8 +238,7 @@ class Table:
         """
         prepared = self._prepare_update(row_id, changes)
         self._apply_updates([prepared])
-        self.version += 1
-        self._change_log.record(self.version, "update", row_id, prepared[1])
+        self._commit("update", [(row_id, prepared[1])])
 
     def update_many(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
         """Apply a batch of partial updates (row id -> changes) atomically.
@@ -252,10 +253,7 @@ class Table:
             for row_id, changes in updates.items()
         ]
         self._apply_updates(prepared)
-        base = self.version
-        self.version += len(prepared)
-        for offset, (row_id, pre, _new) in enumerate(prepared, start=1):
-            self._change_log.record(base + offset, "update", row_id, pre)
+        self._commit("update", [(row_id, pre) for row_id, pre, _new in prepared])
 
     def _prepare_update(
         self, row_id: int, changes: Mapping[str, Any]
@@ -298,8 +296,20 @@ class Table:
         current = self._backend.get(row_id)
         pre = dict(current) if current is not None else None
         self._backend.delete(row_id)
-        self.version += 1
-        self._change_log.record(self.version, "delete", row_id, pre)
+        self._commit("delete", [(row_id, pre)])
+
+    def _commit(
+        self, op: str, entries: Sequence[Tuple[int, Optional[Dict[str, Any]]]]
+    ) -> None:
+        """Log ``(row_id, pre_image)`` entries under consecutive versions,
+        then publish the new :attr:`version` — all under the log lock.
+        A reader that sees the new version is guaranteed to find every
+        entry up to it in :meth:`changes_since`."""
+        with self._log_lock:
+            base = self.version
+            for offset, (row_id, pre) in enumerate(entries, start=1):
+                self._change_log.record(base + offset, op, row_id, pre)
+            self.version = base + len(entries)
 
     # ------------------------------------------------------------------ #
     # change tracking
@@ -316,7 +326,8 @@ class Table:
         ``full=True`` when the bounded log no longer covers the window —
         consumers must then treat every row as potentially changed.
         """
-        return self._change_log.changes_since(version)
+        with self._log_lock:
+            return self._change_log.changes_since(version)
 
     # ------------------------------------------------------------------ #
     # retrieval

@@ -1,5 +1,6 @@
 """Tests for the batched, cached RankingEngine."""
 
+import numpy as np
 import pytest
 
 from repro.core.ranker import rank
@@ -394,3 +395,63 @@ class TestQueryExecution:
         engine = RankingEngine()
         with pytest.raises(RankingError):
             engine.rank("not a graph", "propagation")
+
+
+class TestPackedScoreCache:
+    """Score-cache entries are a keys tuple plus one float64 array; a
+    hit must rebuild exactly what the filling miss returned."""
+
+    _REQUESTS = [
+        ("reliability", {"trials": 200, "rng": 5}),
+        ("reliability", {"strategy": "closed"}),
+        ("propagation", {}),
+        ("diffusion", {}),
+        ("in_edge", {}),
+        ("path_count", {}),
+    ]
+
+    @staticmethod
+    def _graph():
+        workload = mediated_layers(layers=3, width=16, fan_out=3, rng=11)
+        engine = RankingEngine(mediator=workload.mediator)
+        return engine, engine.execute(workload.query)
+
+    @pytest.mark.parametrize("backend", ["compiled", "reference"])
+    @pytest.mark.parametrize(
+        "method,options", _REQUESTS, ids=[m for m, _ in _REQUESTS]
+    )
+    def test_hit_returns_the_miss_exactly(self, method, options, backend):
+        engine, qg = self._graph()
+        miss, miss_cached = engine.rank_with_stats(
+            qg, method, backend=backend, **options
+        )
+        hit, hit_cached = engine.rank_with_stats(
+            qg, method, backend=backend, **options
+        )
+        assert (miss_cached, hit_cached) == (False, True)
+        assert list(hit.scores) == list(miss.scores)
+        assert [type(v) for v in hit.scores.values()] == [float] * len(hit.scores)
+        assert [v.hex() for v in hit.scores.values()] == [
+            v.hex() for v in miss.scores.values()
+        ]
+        (entry,) = engine._scores.values()
+        keys, values = entry
+        assert keys == tuple(miss.scores)
+        assert values.dtype == np.float64
+
+    def test_hits_hand_out_independent_dicts(self):
+        engine, qg = self._graph()
+        engine.rank(qg, "in_edge")
+        first = engine.rank(qg, "in_edge")
+        first.scores.clear()
+        assert len(engine.rank(qg, "in_edge").scores) > 0
+
+    def test_serve_cached_unpacks_the_same_scores(self):
+        workload = mediated_layers(layers=3, width=16, fan_out=3, rng=11)
+        engine = RankingEngine(mediator=workload.mediator)
+        qg = engine.execute(workload.query)
+        miss = engine.rank(qg, "propagation")
+        served = engine.serve_cached(workload.query, "propagation")
+        assert served is not None
+        assert served[0] is qg
+        assert list(served[1].scores.items()) == list(miss.scores.items())

@@ -1,6 +1,10 @@
 """Change tracking: the bounded per-table log, change-set coalescing,
 and the update/delete surface that feeds it — on every backend."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.errors import IntegrityError, StorageError
@@ -213,3 +217,64 @@ class TestTableChangeTracking:
         assert table.changes_since(version).full
         # a recent window is still precise
         assert not table.changes_since(table.version - 1).full
+
+
+class TestConcurrentReaders:
+    """Readers diffing the log while a writer refreshes the table.
+
+    A tiny switch interval makes the interpreter preempt threads almost
+    every bytecode, so a reader lands inside a writer's mutation often.
+    Two failures are possible without the table's log lock: iterating
+    the log's deque while it is appended to raises ``RuntimeError``,
+    and a version published before its log entries lets a reader see
+    the new version but an empty delta for it — the stale-graph bug.
+    """
+
+    def test_published_versions_always_have_their_entries(self):
+        table = _table("memory")
+        rids = table.insert_many(
+            [{"gid": f"g{i}", "score": 0.0} for i in range(8)]
+        )
+        stop = threading.Event()
+        errors = []
+        reads = [0]
+
+        def writer():
+            step = 0
+            while not stop.is_set():
+                step += 1
+                table.update_many(
+                    {rid: {"score": float(step)} for rid in rids}
+                )
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    seen = table.version
+                    # every version a reader can see is already logged
+                    if not table.changes_since(seen - 1):
+                        errors.append(f"version {seen} published unlogged")
+                    # a full-window diff walks the whole deque
+                    table.changes_since(0)
+                    reads[0] += 1
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(repr(exc))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, daemon=True)]
+            threads += [
+                threading.Thread(target=reader, daemon=True) for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            time.sleep(1.5)
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reads[0] > 0
+        assert errors == []
