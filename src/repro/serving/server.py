@@ -36,7 +36,6 @@ Run it from the command line via ``python -m repro.serving`` (see
 from __future__ import annotations
 
 import functools
-import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -127,19 +126,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        # one write for status line, headers and body. end_headers()
-        # flushes the headers on their own; as a separate write, Nagle
-        # holds the body for the client's delayed ACK (~40 ms on Linux).
-        # TCP_NODELAY avoids the stall too but measured slower: closed-loop
-        # p50 on the ABCC8 workload was 4.0 ms with it, 2.7 ms with one
-        # write (median of 8 alternating runs on a 2-vCPU Xeon).
-        wfile, self.wfile = self.wfile, io.BytesIO()
-        try:
-            self.end_headers()
-            head = self.wfile.getvalue()
-        finally:
-            self.wfile = wfile
-        self.wfile.write(head + body)
+        self.end_headers()
+        self.wfile.write(body)
 
     def _read_json(self) -> Optional[Dict[str, object]]:
         length = int(self.headers.get("Content-Length", 0) or 0)
