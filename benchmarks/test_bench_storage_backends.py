@@ -1,10 +1,10 @@
-"""Storage-backend benchmarks: memory vs SQLite vs columnar vs vectorized.
+"""Storage-backend benchmarks: memory vs SQLite vs vectorized.
 
 Four questions, per backend:
 
 * **cold lookup** — what does one frontier-sized ``lookup_many`` batch
   cost against an unindexed link table (the thin-wrapper regime where
-  every probe is a scan — columnar's home turf, SQLite's worst case)?
+  every probe is a scan — SQLite's worst case)?
 * **end-to-end latency** — cold ``Session.execute`` (graph
   materialisation through the backend) and warm ``Session.execute``
   (served from the engine's epoch-guarded query cache, which must be
@@ -12,10 +12,9 @@ Four questions, per backend:
 * **scale** — a ≥100k-record layered workload persisted into SQLite and
   served end to end through ``Session.execute``; the warm path must
   collapse to a cache probe even when the cold path reads from disk.
-* **vectorized payoff** — the numpy scan path must beat the
-  row-at-a-time columnar scan by an asserted margin on a scan-bound
-  cold execute, and re-attaching persisted ``.npy`` layers must stay
-  O(1) in row count (memory-mapped, no column load).
+* **vectorized payoff** — a scan-bound cold execute on the numpy scan
+  path, and re-attaching persisted ``.npy`` layers must stay O(1) in
+  row count (memory-mapped, no column load).
 """
 
 import time
@@ -68,8 +67,7 @@ class TestColdLookup:
     def test_lookup_many_frontier(self, benchmark, backend_workload):
         storage, workload = backend_workload
         links = workload.mediator.entity_plan("E0").out[0].table
-        # a selective frontier (1 in 20 keys): the regime where the
-        # columnar layout's probe-column-only scan pays off
+        # a selective frontier (1 in 20 keys)
         frontier = [f"E0:{j}" for j in range(0, _SHAPE["width"], 20)]
 
         result = benchmark.pedantic(
@@ -209,7 +207,7 @@ class TestSQLiteScale:
         assert session.stats_snapshot().queries_executed == 1
 
 
-#: scan-bound shape for the vectorized speedup assertion: wide unindexed
+#: scan-bound shape for the vectorized cold execute: wide unindexed
 #: link tables, few seeds — graph materialisation is all probe scans
 _SCAN_SHAPE = dict(
     layers=3, width=50_000, fan_out=2, seeds=20, rng=5, index_links=False
@@ -218,38 +216,8 @@ _SCAN_SHAPE = dict(
 
 @pytest.mark.benchmark(group="storage-vectorized-speedup")
 class TestVectorizedSpeedup:
-    """The headline perf claim: on scan-bound graph materialisation the
-    vectorized backend's array probes must beat the row-at-a-time
-    columnar scan ≥3x cold (measured ~12x here; the floor leaves room
-    for slow CI runners)."""
-
-    @staticmethod
-    def _cold_seconds(workload, rounds=3):
-        spec = workload.spec(method="in_edge")
-        best = float("inf")
-        for _ in range(rounds):
-            with workload.open_session(
-                EngineConfig(cache_graphs=False)
-            ) as session:
-                started = time.perf_counter()
-                result = session.execute(spec)
-                best = min(best, time.perf_counter() - started)
-        assert len(result) > 0
-        return best
-
-    def test_cold_execute_beats_columnar_3x(self, request):
-        if request.config.getoption("benchmark_disable", False):
-            pytest.skip("timing comparison skipped under --benchmark-disable")
-        columnar = self._cold_seconds(
-            mediated_layers(storage="columnar", **_SCAN_SHAPE)
-        )
-        vectorized = self._cold_seconds(
-            mediated_layers(storage="vectorized", **_SCAN_SHAPE)
-        )
-        assert vectorized * 3 < columnar, (
-            f"vectorized cold execute ({vectorized * 1e3:.1f} ms) must be "
-            f"≥3x faster than columnar ({columnar * 1e3:.1f} ms)"
-        )
+    """Scan-bound graph materialisation on the vectorized backend's
+    array probes."""
 
     def test_cold_execute_vectorized(self, benchmark):
         workload = mediated_layers(storage="vectorized", **_SCAN_SHAPE)

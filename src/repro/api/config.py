@@ -208,7 +208,7 @@ class EngineConfig:
     max_workers: int = 4
     #: storage backend for databases created through this session
     #: (``Session.create_database`` and the workload generators):
-    #: ``"memory"`` | ``"sqlite"`` | ``"columnar"`` | ``"vectorized"``
+    #: ``"memory"`` | ``"sqlite"`` | ``"vectorized"``
     storage: str = "memory"
     #: persistence root for the disk-backed storage backends: one
     #: ``<name>.sqlite`` file per database under SQLite, one
@@ -339,16 +339,27 @@ class EngineConfig:
         """
         from repro.engine.ranking import RankingEngine
 
-        return RankingEngine(
-            mediator=mediator,
-            backend=self.backend,
-            builder=self.builder,
-            cache_scores=self.cache_scores,
-            max_cached_scores=self.max_cached_scores,
-            cache_graphs=self.cache_graphs,
-            max_cached_graphs=self.max_cached_graphs,
-            incremental=self.incremental,
-        )
+        return RankingEngine(mediator=mediator, **self.engine_options())
+
+    def engine_options(self) -> Dict[str, object]:
+        """The :class:`~repro.engine.RankingEngine` keyword arguments
+        this config sets — the one list the single engine, the thread
+        shards and the worker processes' boot record are all built from.
+
+        Example::
+
+            >>> EngineConfig(incremental=False).engine_options()["incremental"]
+            False
+        """
+        return {
+            "backend": self.backend,
+            "builder": self.builder,
+            "cache_scores": self.cache_scores,
+            "max_cached_scores": self.max_cached_scores,
+            "cache_graphs": self.cache_graphs,
+            "max_cached_graphs": self.max_cached_graphs,
+            "incremental": self.incremental,
+        }
 
     def make_database(self, name: str = "db") -> "Database":
         """A :class:`~repro.storage.database.Database` on this config's
@@ -361,8 +372,8 @@ class EngineConfig:
         column files (either parent is created on demand). Without a
         path, both backends stay in process memory. Example::
 
-            >>> EngineConfig(storage="columnar").make_database("src").storage
-            'columnar'
+            >>> EngineConfig(storage="memory").make_database("src").storage
+            'memory'
         """
         from repro.storage.database import Database
 

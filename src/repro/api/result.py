@@ -16,10 +16,8 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Hashable,
-    Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -28,6 +26,7 @@ from typing import (
 
 if TYPE_CHECKING:
     from repro.api.spec import QuerySpec
+    from repro.engine.sharded import GatherResult
 
 from repro.core.graph import QueryGraph
 from repro.core.paths import EvidencePath, enumerate_paths, explain_answer
@@ -163,7 +162,7 @@ class ResultSet:
                 lo, hi = position + 1, position + len(group)
                 for node in group:
                     position += 1
-                    payload = self._graph.graph.data(node)
+                    payload = self._payload(node)
                     entities.append(
                         RankedEntity(
                             rank=position,
@@ -178,6 +177,9 @@ class ResultSet:
                     )
             self._entities_cache = entities
         return self._entities_cache
+
+    def _payload(self, node: NodeId) -> object:
+        return self._graph.graph.data(node)
 
     @property
     def _by_node(self) -> Dict[NodeId, RankedEntity]:
@@ -323,41 +325,16 @@ class ResultSet:
         return json.dumps(self.to_dict(limit), **dumps_kwargs)
 
 
-class _GatherPayloads:
-    """Node-payload access dispatching to each answer's owning shard
-    graph (quacks like ``ProbabilisticEntityGraph.data`` for the
-    entity-record construction of the base class)."""
-
-    def __init__(self, owners: Mapping[Hashable, QueryGraph]) -> None:
-        self._owners = owners
-
-    def data(self, node: Hashable) -> object:
-        return self._owners[node].graph.data(node)
-
-
-class _GatherGraph:
-    """The minimal ``QueryGraph``-shaped object a gathered result set
-    carries: merged answer set, shared source node, per-owner payload
-    dispatch. Whole-graph operations live on the per-shard graphs."""
-
-    def __init__(
-        self,
-        owners: Mapping[Hashable, QueryGraph],
-        source: Hashable,
-        targets: Iterable[Hashable],
-    ) -> None:
-        self.graph = _GatherPayloads(owners)
-        self.source = source
-        self.targets = list(targets)
-
-
 class ShardedResultSet(ResultSet):
-    """A :class:`ResultSet` gathered from shard fragments.
+    """A :class:`ResultSet` gathered from shard fragments (thread or
+    process mode).
 
     Scores, ordering, rank intervals, tie groups, pagination and export
     behave exactly as on a single-engine result (the merged score dict
-    *is* the result). Provenance and explanations dispatch to the shard
-    graph that owns each answer — by the sink-partitioning rule the
+    *is* the result); entity records come from the payloads each owning
+    shard shipped with its fragment. Provenance and explanations
+    dispatch to the shard that owns each answer — its in-process graph,
+    or an RPC to its worker process. By the sink-partitioning rule the
     owning shard holds the answer's complete ancestor subgraph, so the
     evidence paths equal the unsharded ones.
 
@@ -368,17 +345,22 @@ class ShardedResultSet(ResultSet):
 
     def __init__(
         self,
-        ranked: RankedResult,
-        owners: Mapping[Hashable, QueryGraph],
-        source: Hashable,
+        gathered: "GatherResult",
+        engine: object,
         spec: Optional["QuerySpec"] = None,
     ) -> None:
-        self._owners = dict(owners)
+        self._gathered = gathered
+        #: where answers without an in-process graph are explained
+        #: (the process-sharded engine; unused in thread mode)
+        self._engine = engine
         super().__init__(
-            ranked,
-            _GatherGraph(self._owners, source, self._owners.keys()),
+            RankedResult(method=gathered.method, scores=gathered.scores),
+            None,  # type: ignore[arg-type]
             spec=spec,
         )
+
+    def _payload(self, node: NodeId) -> object:
+        return self._gathered.payloads[node]
 
     @property
     def graph(self) -> QueryGraph:
@@ -391,38 +373,49 @@ class ShardedResultSet(ResultSet):
         """
         raise GraphError(
             "a sharded result set has no single materialised graph; "
-            "use .shard_graphs for the per-shard query graphs, or "
-            ".provenance()/.explain() which dispatch to the owning "
+            "use .shard_graphs for the in-process shard query graphs "
+            "(there are none when the shards run in worker processes), "
+            "or .provenance()/.explain(), which dispatch to the owning "
             "shard automatically"
         )
 
     @property
     def shard_graphs(self) -> List[QueryGraph]:
-        """The distinct per-shard query graphs behind this result."""
-        seen: List[QueryGraph] = []
-        for graph in self._owners.values():
-            if all(graph is not existing for existing in seen):
-                seen.append(graph)
-        return seen
+        """The in-process query graphs of the shards that own answers
+        (empty in process mode: those graphs live in the workers)."""
+        graphs = self._gathered.graphs
+        owning = sorted(set(self._gathered.owner_shards.values()))
+        return [graphs[shard] for shard in owning if shard in graphs]
 
-    def _owning_graph(self, node: NodeId) -> QueryGraph:
+    @property
+    def owner_shards(self) -> Dict[NodeId, int]:
+        """Answer node -> shard index that owns (and can explain) it."""
+        return dict(self._gathered.owner_shards)
+
+    def _owner(self, node: NodeId) -> Tuple[NodeId, int]:
         if isinstance(node, RankedEntity):
             node = node.node
         try:
-            return self._owners[node]
+            return node, self._gathered.owner_shards[node]
         except KeyError:
             raise GraphError(f"{node!r} is not in this result set") from None
 
     def provenance(
         self, node: NodeId, top: int = 3, max_paths: int = 1000
     ) -> List[EvidencePath]:
-        graph = self._owning_graph(node)
-        if isinstance(node, RankedEntity):
-            node = node.node
+        node, shard = self._owner(node)
+        graph = self._gathered.graphs.get(shard)
+        if graph is None:
+            return self._engine.provenance(  # type: ignore[attr-defined]
+                shard, self.spec, node, top=top, max_paths=max_paths
+            )
         return enumerate_paths(graph, node, max_paths=max_paths)[:top]
 
     def explain(self, node: NodeId, top: int = 3) -> str:
-        graph = self._owning_graph(node)
-        if isinstance(node, RankedEntity):
-            node = node.node
+        node, shard = self._owner(node)
+        graph = self._gathered.graphs.get(shard)
+        if graph is None:
+            return self._engine.explain_answer(  # type: ignore[attr-defined]
+                shard, self.spec, node, top=top
+            )
         return explain_answer(graph, node, top=top)

@@ -155,8 +155,9 @@ class Session:
                 self._mediator, self._config.shards, self._config.partitioner
             )
         self._router = router
-        self._sharded: Optional[ShardedEngine] = None
-        self._process: Optional["ProcessShardedEngine"] = None
+        #: the scatter/gather engine of a sharded session (thread or
+        #: process mode), ``None`` when unsharded
+        self._shards: Optional[Union[ShardedEngine, "ProcessShardedEngine"]] = None
         if router is not None and self._config.shard_mode == "process":
             if worker_source is None:
                 raise QueryError(
@@ -165,20 +166,14 @@ class Session:
                     "rebuild their shard from a WorkerSource (see "
                     "MediatedWorkload.worker_source())"
                 )
-            # imported lazily: repro.serving pulls repro.api.result in,
-            # and this module is imported while repro.api initialises
+            # imported lazily: repro.serving pulls repro.api in, and
+            # this module is imported while repro.api initialises
             from repro.serving.engine import ProcessShardedEngine
 
-            self._process = ProcessShardedEngine(
+            self._shards = ProcessShardedEngine(
                 router,
                 worker_source,
-                backend=self._config.backend,
-                builder=self._config.builder,
-                cache_scores=self._config.cache_scores,
-                max_cached_scores=self._config.max_cached_scores,
-                cache_graphs=self._config.cache_graphs,
-                max_cached_graphs=self._config.max_cached_graphs,
-                incremental=self._config.incremental,
+                self._config.engine_options(),
                 rpc_timeout=self._config.rpc_timeout,
                 worker_restarts=self._config.worker_restarts,
             )
@@ -187,15 +182,7 @@ class Session:
                 raise QueryError(
                     'worker_source only applies to shard_mode="process"'
                 )
-            self._sharded = ShardedEngine(
-                router,
-                backend=self._config.backend,
-                builder=self._config.builder,
-                cache_scores=self._config.cache_scores,
-                max_cached_scores=self._config.max_cached_scores,
-                cache_graphs=self._config.cache_graphs,
-                max_cached_graphs=self._config.max_cached_graphs,
-            )
+            self._shards = ShardedEngine(router, self._config.engine_options())
         elif worker_source is not None:
             raise QueryError(
                 "worker_source needs a sharded session (pass a router or "
@@ -239,7 +226,7 @@ class Session:
     @property
     def sharded(self) -> bool:
         """Whether mediated execution scatters across shards."""
-        return self._sharded is not None or self._process is not None
+        return self._shards is not None
 
     @property
     def router(self) -> Optional[ShardRouter]:
@@ -247,13 +234,15 @@ class Session:
 
     @property
     def sharded_engine(self) -> Optional[ShardedEngine]:
-        return self._sharded
+        """The thread-mode scatter/gather engine (``None`` unless the
+        session is sharded with ``shard_mode="thread"``)."""
+        return self._shards if self._config.shard_mode == "thread" else None  # type: ignore[return-value]
 
     @property
     def process_engine(self) -> Optional["ProcessShardedEngine"]:
         """The process-mode scatter/gather engine (``None`` unless the
         session was opened with ``shard_mode="process"``)."""
-        return self._process
+        return self._shards if self._config.shard_mode == "process" else None  # type: ignore[return-value]
 
     @property
     def admission(self) -> Optional["AdmissionGate"]:
@@ -293,7 +282,7 @@ class Session:
         is rejected up front (it would break that guarantee).
         """
         self._check_open()
-        if self._process is not None:
+        if self.process_engine is not None:
             raise QueryError(
                 "cannot register sources on a process-sharded session: "
                 "the shard mediators live in worker processes that "
@@ -322,9 +311,9 @@ class Session:
         Example::
 
             >>> from repro.api import EngineConfig, open_session
-            >>> session = open_session(config=EngineConfig(storage="columnar"))
+            >>> session = open_session(config=EngineConfig(storage="vectorized"))
             >>> session.create_database("genes").storage
-            'columnar'
+            'vectorized'
         """
         self._check_open()
         return self._config.make_database(name)
@@ -352,7 +341,7 @@ class Session:
         """
         self._check_open()
         spec = self._coerce(spec)
-        if self._sharded is not None or self._process is not None:
+        if self._shards is not None:
             return self._execute_sharded(spec)
         qg = self._engine.execute(
             spec.to_exploratory(), builder=self._config.builder
@@ -371,7 +360,7 @@ class Session:
         caches live in the shard engines (or worker processes)."""
         self._check_open()
         spec = self._coerce(spec)
-        if self._sharded is not None or self._process is not None:
+        if self._shards is not None:
             return None
         served = self._engine.serve_cached(
             spec.to_exploratory(),
@@ -395,26 +384,8 @@ class Session:
         point of sharding, so the session does not clamp it to
         ``config.max_workers`` (which governs ``execute_many``'s
         spec-level batching)."""
-        if self._process is not None:
-            from repro.serving.result import ProcessShardedResultSet
-
-            process_gathered = self._process.gather(
-                spec.to_exploratory(),
-                spec.method,
-                max_workers=max_workers,
-                spec_dict=spec.to_dict(),
-            )
-            return ProcessShardedResultSet(process_gathered, self._process, spec)
-        gathered = self._sharded.gather(
-            spec.to_exploratory(),
-            spec.method,
-            options=spec.options.to_kwargs(spec.method, spec.seed),
-            builder=self._config.builder,
-            max_workers=max_workers,
-        )
-        return ShardedResultSet(
-            gathered.ranked, gathered.owners, gathered.source, spec=spec
-        )
+        gathered = self._shards.gather(spec, max_workers=max_workers)  # type: ignore[union-attr]
+        return ShardedResultSet(gathered, self._shards, spec=spec)
 
     def execute_many(
         self,
@@ -460,7 +431,7 @@ class Session:
         for index, spec in enumerate(coerced):
             slots.setdefault(spec, []).append(index)
 
-        if self._sharded is not None or self._process is not None:
+        if self._shards is not None:
             # sharded batches parallelise across *shards* per spec (the
             # scatter pool); specs run in sequence, deduplicated, with
             # the same result-order and error semantics as below.
@@ -640,34 +611,8 @@ class Session:
         """
         self._check_open()
         spec = self._coerce(spec)
-        if self._process is not None:
-            process_gathered = self._process.gather(
-                spec.to_exploratory(),
-                spec.method,
-                spec_dict=spec.to_dict(),
-            )
-            return Explanation(
-                spec=spec,
-                graph_cached=process_gathered.graph_cached,
-                score_cached=process_gathered.score_cached,
-                builder=self._config.builder,
-                backend=self._config.backend,
-                nodes=process_gathered.nodes,
-                edges=process_gathered.edges,
-                answers=len(process_gathered.scores),
-                build_stats=process_gathered.build_stats,
-                fingerprint=None,
-                build_seconds=process_gathered.build_seconds,
-                rank_seconds=process_gathered.rank_seconds,
-                engine_stats=self._process.stats_snapshot().as_dict(),
-            )
-        if self._sharded is not None:
-            gathered = self._sharded.gather(
-                spec.to_exploratory(),
-                spec.method,
-                options=spec.options.to_kwargs(spec.method, spec.seed),
-                builder=self._config.builder,
-            )
+        if self._shards is not None:
+            gathered = self._shards.gather(spec)
             # node/edge totals are summed across the shard graphs
             # (replicated ancestors count once per shard); there is no
             # single compiled graph, hence no fingerprint
@@ -679,12 +624,12 @@ class Session:
                 backend=self._config.backend,
                 nodes=gathered.nodes,
                 edges=gathered.edges,
-                answers=len(gathered.ranked.scores),
+                answers=len(gathered.scores),
                 build_stats=gathered.build_stats,
                 fingerprint=None,
                 build_seconds=gathered.build_seconds,
                 rank_seconds=gathered.rank_seconds,
-                engine_stats=self._sharded.stats_snapshot().as_dict(),
+                engine_stats=self._shards.stats_snapshot().as_dict(),
             )
         started = time.perf_counter()
         qg, build_stats, graph_cached = self._engine.execute_with_stats(
@@ -747,19 +692,15 @@ class Session:
         object; use :meth:`stats_snapshot` for before/after deltas).
         On a sharded session this is the aggregated snapshot over every
         child engine; per-shard counters are on :meth:`shard_stats`."""
-        if self._process is not None:
-            return self._merge_serving_counters(self._process.stats_snapshot())
-        if self._sharded is not None:
-            return self._merge_serving_counters(self._sharded.stats_snapshot())
+        if self._shards is not None:
+            return self._merge_serving_counters(self._shards.stats_snapshot())
         return self._engine.stats
 
     def stats_snapshot(self) -> EngineStats:
         """A lock-consistent copy of the counters (aggregated over the
         shards when sharded)."""
-        if self._process is not None:
-            return self._merge_serving_counters(self._process.stats_snapshot())
-        if self._sharded is not None:
-            return self._merge_serving_counters(self._sharded.stats_snapshot())
+        if self._shards is not None:
+            return self._merge_serving_counters(self._shards.stats_snapshot())
         return self._engine.stats_snapshot()
 
     def _merge_serving_counters(self, aggregate: EngineStats) -> EngineStats:
@@ -775,18 +716,12 @@ class Session:
 
     def shard_stats(self) -> List[EngineStats]:
         """Per-shard counter snapshots (empty when unsharded)."""
-        if self._process is not None:
-            return self._process.shard_stats()
-        if self._sharded is None:
-            return []
-        return self._sharded.shard_stats()
+        return [] if self._shards is None else self._shards.shard_stats()
 
     def reset_stats(self) -> None:
         self._engine.reset_stats()
-        if self._sharded is not None:
-            self._sharded.reset_stats()
-        if self._process is not None:
-            self._process.reset_stats()
+        if self._shards is not None:
+            self._shards.reset_stats()
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -809,10 +744,8 @@ class Session:
                     pool, self._pool = self._pool, None
                 if pool is not None:
                     pool.shutdown(wait=True)
-                if self._sharded is not None:
-                    self._sharded.close()
-                if self._process is not None:
-                    self._process.close()
+                if self._shards is not None:
+                    self._shards.close()
 
     @property
     def closed(self) -> bool:
@@ -826,12 +759,9 @@ class Session:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        if self._process is not None:
-            shards = f" shards={self._process.shards} (process)"
-        elif self._sharded is not None:
-            shards = f" shards={self._sharded.shards}"
-        else:
-            shards = ""
+        shards = ""
+        if self._shards is not None:
+            shards = f" shards={self._shards.shards} ({self._config.shard_mode})"
         return (
             f"<Session {state} sources={len(self._mediator.sources)} "
             f"backend={self._config.backend!r} "

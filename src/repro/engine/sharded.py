@@ -10,13 +10,20 @@ query scatter/gather:
 1. **route** — :meth:`ShardRouter.relevant_shards` picks the shards a
    query can touch (a point lookup on a partitioned set's key column
    routes to exactly one shard; everything else fans out to all);
-2. **scatter** — the query runs on every relevant shard's engine, on a
-   thread pool, through the ordinary per-shard caches;
-3. **gather** — each shard contributes the answers it *owns* (the
-   partitioner is the single ownership oracle), and the fragments merge
-   by score with the same deterministic tie-breaking the single engine
-   uses, so rankings, rank intervals and tie groups are identical to
-   the unsharded result.
+2. **scatter** — :func:`score_fragment` runs the query on every
+   relevant shard's engine, on a thread pool, through the ordinary
+   per-shard caches, and keeps the answers the shard *owns* (the
+   partitioner is the single ownership oracle);
+3. **gather** — :func:`merge_fragments` classifies the shard outcomes
+   and unions the owned fragments, which then rank with the same
+   deterministic tie-breaking the single engine uses, so rankings, rank
+   intervals and tie groups are identical to the unsharded result.
+
+The process-sharded engine (:mod:`repro.serving.engine`) is the
+sibling of :class:`ShardedEngine` over the same :class:`ShardScatter`
+base: its workers call the same :func:`score_fragment`, and the
+supervisor decodes their replies into the same :class:`ShardFragment`
+for the same :func:`merge_fragments`.
 
 Equivalence rests on the ancestor-closure rule enforced by
 :func:`repro.integration.partition.partition_mediator`: only traversal
@@ -44,7 +51,9 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     List,
@@ -54,11 +63,13 @@ from typing import (
     Tuple,
 )
 
+if TYPE_CHECKING:
+    from repro.api.spec import QuerySpec
+
 from repro.core.graph import QueryGraph
-from repro.core.ranker import RankedResult, resolve_method
 from repro.engine.ranking import EngineStats, RankingEngine
 from repro.errors import EmptyAnswerError, QueryError, RankingError, SchemaError
-from repro.integration.builder import BuildStats
+from repro.integration.builder import BuildStats, NodePayload
 from repro.integration.mediator import Mediator
 from repro.integration.partition import (
     no_sink_sets_message,
@@ -75,7 +86,10 @@ __all__ = [
     "PARTITIONERS",
     "ShardFragment",
     "ShardRouter",
+    "ShardScatter",
     "ShardedEngine",
+    "merge_fragments",
+    "score_fragment",
 ]
 
 NodeId = Hashable
@@ -315,35 +329,47 @@ class ShardRouter:
 
 @dataclass
 class ShardFragment:
-    """One shard's contribution to a gathered result."""
+    """One shard's answer to a scattered spec.
+
+    Thread mode builds it in process; process mode builds it inside the
+    worker and ships it as an RPC record the supervisor decodes back
+    into this same type."""
 
     shard: int
-    #: the shard's materialised graph (None when its partition was empty)
-    graph: Optional[QueryGraph]
     #: owned answers only — disjoint across fragments by construction
     scores: Dict[NodeId, float] = field(default_factory=dict)
+    #: the owned answers' node payloads (entity set, key, label)
+    payloads: Dict[NodeId, NodePayload] = field(default_factory=dict)
     build_stats: Optional[BuildStats] = None
     graph_cached: bool = False
     score_cached: bool = False
-    #: set when the shard raised an EmptyAnswerError
-    empty_kind: Optional[str] = None
+    build_seconds: float = 0.0
+    rank_seconds: float = 0.0
+    #: set when the shard's partition held no answers
+    empty: Optional[EmptyAnswerError] = None
+    #: the shard's query graph when it lives in this process
+    graph: Optional[QueryGraph] = None
 
 
 @dataclass
 class GatherResult:
-    """A merged scatter/gather execution: the ranked union of the
-    owned fragments plus aggregated provenance."""
+    """A merged scatter/gather execution: the union of the owned
+    fragments plus aggregated build statistics."""
 
-    ranked: RankedResult
-    #: answer node -> the owning shard's query graph (for payloads,
-    #: provenance paths and explanations)
-    owners: Dict[NodeId, QueryGraph]
-    source: NodeId
-    fragments: List[ShardFragment]
+    method: str
+    #: merged node -> score of the disjoint owned fragments
+    scores: Dict[NodeId, float]
+    #: node -> payload shipped by its owning shard
+    payloads: Dict[NodeId, NodePayload]
+    #: node -> index of the shard that owns (and can explain) it
+    owner_shards: Dict[NodeId, int]
+    #: shard -> its query graph, for shards that live in this process
+    #: (empty when the graphs live in worker processes)
+    graphs: Dict[int, QueryGraph]
     #: per-shard BuildStats summed (replicated intermediate layers are
     #: counted once per shard that materialised them)
     build_stats: BuildStats
-    #: True only if *every* scattered shard was served from its cache
+    #: True only if *every* populated shard was served from its cache
     graph_cached: bool
     score_cached: bool
     build_seconds: float
@@ -372,118 +398,156 @@ def aggregate_build_stats(parts: Sequence[BuildStats]) -> BuildStats:
     return total
 
 
-class ShardedEngine:
-    """N child :class:`~repro.engine.ranking.RankingEngine`\\ s behind
-    one scatter/gather execution surface.
+def score_fragment(
+    engine: RankingEngine, router: ShardRouter, shard: int, spec: "QuerySpec"
+) -> ShardFragment:
+    """Execute and rank ``spec`` on one shard's engine and keep the
+    answers the shard owns (the partitioner is the single ownership
+    oracle). An empty partition is a fragment, not a failure; any other
+    error propagates to the scatter, which hands it to
+    :func:`merge_fragments`."""
+    started = time.perf_counter()
+    try:
+        qg, build_stats, graph_cached = engine.execute_with_stats(
+            spec.to_exploratory()
+        )
+    except EmptyAnswerError as exc:
+        return ShardFragment(
+            shard, build_seconds=time.perf_counter() - started, empty=exc
+        )
+    build_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    ranked, score_cached = engine.rank_with_stats(
+        qg, spec.method, **spec.options.to_kwargs(spec.method, spec.seed)
+    )
+    rank_seconds = time.perf_counter() - started
+    owner = router.owner
+    data = qg.graph.data
+    fragment = ShardFragment(
+        shard,
+        build_stats=build_stats,
+        graph_cached=graph_cached,
+        score_cached=score_cached,
+        build_seconds=build_seconds,
+        rank_seconds=rank_seconds,
+        graph=qg,
+    )
+    for node in qg.targets:
+        payload = data(node)
+        if owner(payload.entity_set, payload.key) == shard:
+            fragment.scores[node] = ranked.scores[node]
+            fragment.payloads[node] = payload
+    return fragment
 
-    Construction mirrors ``RankingEngine``'s configuration; every child
-    engine gets the same backend/builder/cache settings over its own
-    mediator (from the router). The children's caches work unchanged —
-    a warm sharded query is N dictionary probes plus one merge.
+
+#: one shard's scatter outcome: ``("ok", ShardFragment)``,
+#: ``("error", exc)`` for an error the shard raised while executing,
+#: or ``("transport", exc)`` when the shard could not be reached
+Outcome = Tuple[str, object]
+
+
+def merge_fragments(
+    method: str, relevant: Sequence[int], outcomes: Sequence[Outcome]
+) -> GatherResult:
+    """Classify the scatter outcomes of ``relevant`` shards and merge
+    the owned fragments into one result whose ordering, rank intervals
+    and tie groups match the single-engine execution exactly.
+
+    * a transport failure (a worker that bounded restarts did not
+      cure) is infrastructure trouble and wins over everything else;
+    * the same error on every shard is a query-level error (bad
+      options, unknown attribute, ...): re-raised as the single engine
+      would raise it; a *partial* error is wrapped, naming the shard;
+    * empty partitions contribute nothing; only when every shard is
+      empty is the error that got furthest re-raised;
+    * an answer owned by two shards means the partitioner is not a
+      partition: :class:`~repro.errors.RankingError`.
     """
+    fragments: List[ShardFragment] = []
+    errors: List[Tuple[int, BaseException]] = []
+    for shard, (tag, value) in zip(relevant, outcomes):
+        if tag == "transport":
+            raise value  # type: ignore[misc]
+        if tag == "ok":
+            fragments.append(value)  # type: ignore[arg-type]
+        else:
+            errors.append((shard, value))  # type: ignore[arg-type]
+    if errors:
+        first_shard, first_error = errors[0]
+        deterministic = len(errors) == len(relevant) and all(
+            type(err) is type(first_error) and str(err) == str(first_error)
+            for _, err in errors
+        )
+        if deterministic:
+            raise first_error
+        raise QueryError(
+            f"shard {first_shard} failed during scatter/gather: "
+            f"{first_error}"
+        ) from first_error
 
-    def __init__(
-        self,
-        router: ShardRouter,
-        backend: str = "compiled",
-        builder: str = "batched",
-        cache_scores: bool = True,
-        max_cached_scores: int = 1024,
-        cache_graphs: bool = True,
-        max_cached_graphs: int = 256,
-    ):
+    scores: Dict[NodeId, float] = {}
+    payloads: Dict[NodeId, NodePayload] = {}
+    owner_shards: Dict[NodeId, int] = {}
+    graphs: Dict[int, QueryGraph] = {}
+    populated = [f for f in fragments if f.empty is None]
+    for fragment in populated:
+        for node, score in fragment.scores.items():
+            if node in owner_shards:
+                raise RankingError(
+                    f"answer {node!r} gathered from two shards; the "
+                    f"partitioner is not a partition"
+                )
+            scores[node] = score
+            owner_shards[node] = fragment.shard
+        payloads.update(fragment.payloads)
+        if fragment.graph is not None:
+            graphs[fragment.shard] = fragment.graph
+    if not scores:
+        empties = [f.empty for f in fragments if f.empty is not None]
+        if not empties:  # unreachable unless ownership is broken
+            raise QueryError("no shard produced answers")
+        # every shard's partition was empty: re-raise the error the
+        # single engine would have produced — the one whose execution
+        # got furthest
+        raise max(empties, key=lambda exc: _EMPTY_PRIORITY[exc.kind])
+
+    return GatherResult(
+        method=method,
+        scores=scores,
+        payloads=payloads,
+        owner_shards=owner_shards,
+        graphs=graphs,
+        build_stats=aggregate_build_stats(
+            [f.build_stats for f in populated if f.build_stats is not None]
+        ),
+        graph_cached=all(f.graph_cached for f in populated),
+        score_cached=all(f.score_cached for f in populated),
+        build_seconds=max(f.build_seconds for f in fragments),
+        rank_seconds=max(f.rank_seconds for f in fragments),
+    )
+
+
+class ShardScatter:
+    """The scatter machinery both shard modes share: the relevant-shard
+    routing, a persistent scatter pool, and the hand-off to
+    :func:`merge_fragments`. Each mode supplies how one shard runs."""
+
+    def __init__(self, router: ShardRouter):
         self.router = router
-        self.builder = builder
         # the scatter pool is created lazily and *reused* across
         # gathers: warm queries are N cache probes plus a merge, and
         # spawning threads per request would dwarf that
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        self.engines: List[RankingEngine] = [
-            RankingEngine(
-                mediator=mediator,
-                backend=backend,
-                builder=builder,
-                cache_scores=cache_scores,
-                max_cached_scores=max_cached_scores,
-                cache_graphs=cache_graphs,
-                max_cached_graphs=max_cached_graphs,
-            )
-            for mediator in router.mediators
-        ]
 
-    @property
-    def shards(self) -> int:
-        return len(self.engines)
-
-    # -------------------------------------------------------------- #
-    # scatter/gather execution
-    # -------------------------------------------------------------- #
-
-    def _run_shard(
+    def _scatter(
         self,
-        shard: int,
-        query: ExploratoryQuery,
-        method: str,
-        options: Mapping[str, object],
-        builder: Optional[str],
-    ) -> Tuple[str, object, float, float]:
-        """Execute and rank on one shard; returns an outcome tagged
-        ``"ok"`` (a :class:`ShardFragment`), ``"empty"`` or ``"error"``
-        plus the shard's build/rank wall-clock seconds."""
-        engine = self.engines[shard]
-        started = time.perf_counter()
-        try:
-            qg, build_stats, graph_cached = engine.execute_with_stats(
-                query, builder=builder
-            )
-        except EmptyAnswerError as exc:
-            return "empty", exc, time.perf_counter() - started, 0.0
-        except Exception as exc:  # gathered and classified by the caller
-            return "error", exc, time.perf_counter() - started, 0.0
-        build_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        try:
-            ranked, score_cached = engine.rank_with_stats(qg, method, **options)
-        except Exception as exc:
-            return "error", exc, build_seconds, time.perf_counter() - started
-        rank_seconds = time.perf_counter() - started
-        owner = self.router.owner
-        graph = qg.graph
-        owned: Dict[NodeId, float] = {}
-        for node in qg.targets:
-            payload = graph.data(node)
-            if owner(payload.entity_set, payload.key) == shard:
-                owned[node] = ranked.scores[node]
-        fragment = ShardFragment(
-            shard=shard,
-            graph=qg,
-            scores=owned,
-            build_stats=build_stats,
-            graph_cached=graph_cached,
-            score_cached=score_cached,
-        )
-        return "ok", fragment, build_seconds, rank_seconds
-
-    def gather(
-        self,
-        query: ExploratoryQuery,
-        method: str = "reliability",
-        options: Optional[Mapping[str, object]] = None,
-        builder: Optional[str] = None,
-        max_workers: Optional[int] = None,
+        spec: "QuerySpec",
+        run: Callable[[int], Outcome],
+        max_workers: Optional[int],
     ) -> GatherResult:
-        """Scatter ``query`` to its relevant shards, rank each shard's
-        graph, and merge the owned fragments into one result whose
-        ordering, rank intervals and tie groups match the single-engine
-        execution exactly."""
-        options = dict(options or {})
-        canonical = resolve_method(method)
-        relevant = self.router.relevant_shards(query)
+        relevant = self.router.relevant_shards(spec.to_exploratory())
         workers = len(relevant) if max_workers is None else max_workers
-        def run(shard: int) -> Tuple[str, object, float, float]:
-            return self._run_shard(shard, query, canonical, options, builder)
-
         if workers >= len(relevant) > 1:
             outcomes = list(self._scatter_pool().map(run, relevant))
         elif workers > 1 and len(relevant) > 1:
@@ -492,97 +556,85 @@ class ShardedEngine:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(run, relevant))
         else:
-            outcomes = [
-                self._run_shard(shard, query, canonical, options, builder)
-                for shard in relevant
-            ]
+            outcomes = [run(shard) for shard in relevant]
+        return merge_fragments(spec.method, relevant, outcomes)
 
-        fragments: List[ShardFragment] = []
-        empties: List[Tuple[int, EmptyAnswerError]] = []
-        errors: List[Tuple[int, Exception]] = []
-        build_seconds = 0.0
-        rank_seconds = 0.0
-        for shard, (tag, payload, build_s, rank_s) in zip(relevant, outcomes):
-            build_seconds = max(build_seconds, build_s)
-            rank_seconds = max(rank_seconds, rank_s)
-            if tag == "ok":
-                fragments.append(payload)
-            elif tag == "empty":
-                empties.append((shard, payload))
-                fragments.append(
-                    ShardFragment(shard=shard, graph=None, empty_kind=payload.kind)
+    def shard_stats(self) -> List[EngineStats]:
+        """Per-shard counter snapshots, shard order."""
+        raise NotImplementedError
+
+    @property
+    def stats(self) -> EngineStats:
+        """Aggregated cache counters (a fresh snapshot of
+        :meth:`stats_snapshot`)."""
+        return self.stats_snapshot()
+
+    def stats_snapshot(self) -> EngineStats:
+        """The field-wise sum of every shard's counters."""
+        return EngineStats.aggregate(self.shard_stats())
+
+    def _scatter_pool(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.router.shards,
+                    thread_name_prefix="shard-scatter",
                 )
-            else:
-                errors.append((shard, payload))
+            return self._pool
 
-        if errors:
-            # every shard failing identically is a query-level error
-            # (bad options, unknown attribute, ...): surface it as the
-            # single engine would. A *partial* failure is shard
-            # infrastructure trouble: wrap it, naming the shard.
-            first_shard, first_error = errors[0]
-            deterministic = len(errors) == len(relevant) and all(
-                type(err) is type(first_error) and str(err) == str(first_error)
-                for _, err in errors
-            )
-            if deterministic:
-                raise first_error
-            raise QueryError(
-                f"shard {first_shard} failed during scatter/gather: "
-                f"{first_error}"
-            ) from first_error
+    def _close_pool(self) -> None:
+        with self._pool_lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
 
-        merged: Dict[NodeId, float] = {}
-        owners: Dict[NodeId, QueryGraph] = {}
-        for fragment in fragments:
-            for node, score in fragment.scores.items():
-                if node in owners:
-                    raise RankingError(
-                        f"answer {node!r} gathered from two shards; the "
-                        f"partitioner is not a partition"
-                    )
-                merged[node] = score
-                owners[node] = fragment.graph
-        if not merged:
-            if not empties:  # unreachable unless ownership is broken
-                raise QueryError("no shard produced answers")
-            # every shard's partition was empty: re-raise the error the
-            # single engine would have produced — the one whose
-            # execution got furthest
-            _, best = max(
-                empties, key=lambda item: _EMPTY_PRIORITY[item[1].kind]
-            )
-            raise best
 
-        populated = [f for f in fragments if f.graph is not None]
-        return GatherResult(
-            ranked=RankedResult(method=canonical, scores=merged),
-            owners=owners,
-            source=populated[0].graph.source,
-            fragments=fragments,
-            build_stats=aggregate_build_stats(
-                [f.build_stats for f in populated]
-            ),
-            graph_cached=all(f.graph_cached for f in populated),
-            score_cached=all(f.score_cached for f in populated),
-            build_seconds=build_seconds,
-            rank_seconds=rank_seconds,
-        )
+class ShardedEngine(ShardScatter):
+    """N child :class:`~repro.engine.ranking.RankingEngine`\\ s behind
+    one scatter/gather execution surface.
+
+    Every child engine gets the same ``engine_options`` (the
+    ``RankingEngine`` keyword arguments, see
+    :meth:`~repro.api.EngineConfig.engine_options`) over its own
+    mediator from the router. The children's caches work unchanged — a
+    warm sharded query is N dictionary probes plus one merge.
+    """
+
+    def __init__(
+        self,
+        router: ShardRouter,
+        engine_options: Optional[Mapping[str, object]] = None,
+    ):
+        super().__init__(router)
+        self.engines: List[RankingEngine] = [
+            RankingEngine(mediator=mediator, **(engine_options or {}))
+            for mediator in router.mediators
+        ]
+
+    @property
+    def shards(self) -> int:
+        return len(self.engines)
+
+    def gather(
+        self, spec: "QuerySpec", max_workers: Optional[int] = None
+    ) -> GatherResult:
+        """Scatter ``spec`` to its relevant shards, rank each shard's
+        graph, and merge the owned fragments (see
+        :func:`merge_fragments`)."""
+
+        def run(shard: int) -> Outcome:
+            try:
+                return "ok", score_fragment(
+                    self.engines[shard], self.router, shard, spec
+                )
+            except Exception as exc:  # classified by merge_fragments
+                return "error", exc
+
+        return self._scatter(spec, run, max_workers)
 
     # -------------------------------------------------------------- #
     # stats and lifecycle (aggregated over the children)
     # -------------------------------------------------------------- #
-
-    @property
-    def stats(self) -> EngineStats:
-        """Aggregated cache counters (a fresh snapshot; per-shard live
-        counters are on ``engines[i].stats``)."""
-        return self.stats_snapshot()
-
-    def stats_snapshot(self) -> EngineStats:
-        return EngineStats.aggregate(
-            engine.stats_snapshot() for engine in self.engines
-        )
 
     def shard_stats(self) -> List[EngineStats]:
         """Per-shard snapshots, shard order."""
@@ -592,25 +644,13 @@ class ShardedEngine:
         for engine in self.engines:
             engine.reset_stats()
 
-    def _scatter_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.shards,
-                    thread_name_prefix="shard-gather",
-                )
-            return self._pool
-
     def invalidate(self) -> None:
         for engine in self.engines:
             engine.invalidate()
 
     def close(self) -> None:
         """Release the scatter pool and drop every child's caches."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        self._close_pool()
         self.invalidate()
 
     def __repr__(self) -> str:

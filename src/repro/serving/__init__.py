@@ -19,9 +19,10 @@ session down. This package promotes shards to worker *processes*:
 * :mod:`repro.serving.engine` — :class:`ProcessShardedEngine`, the
   drop-in beside :class:`~repro.engine.sharded.ShardedEngine` selected
   via ``EngineConfig(shard_mode="process")``: spawns and supervises the
-  workers, scatters every query over RPC, merges the disjoint owned
-  fragments with the exact thread-mode semantics, and survives worker
-  death with bounded retry-with-restart;
+  workers, scatters every query over RPC, decodes each reply into the
+  same :class:`~repro.engine.sharded.ShardFragment` thread mode builds
+  and merges with the one :func:`~repro.engine.sharded.merge_fragments`,
+  and survives worker death with bounded retry-with-restart;
 * :mod:`repro.serving.server` — the thin HTTP front door over
   :class:`~repro.api.Session` (execute / execute_many / explain /
   stats / health / shard_stats), runnable as ``python -m
@@ -32,7 +33,6 @@ policy and the failure classification table.
 """
 
 from repro.serving.engine import ProcessShardedEngine, WorkerHandle, live_worker_processes
-from repro.serving.result import ProcessShardedResultSet
 from repro.serving.rpc import (
     RPC_PROTOCOL_VERSION,
     RpcConnection,
@@ -51,7 +51,6 @@ from repro.serving.worker import ShardWorker
 
 __all__ = [
     "ProcessShardedEngine",
-    "ProcessShardedResultSet",
     "RPC_PROTOCOL_VERSION",
     "RpcConnection",
     "RpcRemoteError",

@@ -27,6 +27,7 @@ from typing import List, Optional
 
 from repro.api import EngineConfig
 from repro.serving.server import ServingServer
+from repro.storage.backends import STORAGE_BACKENDS
 from repro.workloads.mediated import mediated_layers
 
 __all__ = ["main"]
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="integer seed (required for process mode)")
     workload.add_argument("--dangling-rate", type=float, default=0.0)
     workload.add_argument("--storage", default="memory",
-                          choices=("memory", "sqlite", "columnar", "vectorized"))
+                          choices=STORAGE_BACKENDS)
     workload.add_argument("--storage-path", default=None,
                           help="persist/re-attach layer files under this directory")
     return parser

@@ -2,14 +2,15 @@
 
 :class:`ProcessShardedEngine` is the drop-in beside
 :class:`~repro.engine.sharded.ShardedEngine`, selected via
-``EngineConfig(shard_mode="process")``: the same gather semantics —
-disjoint owned score fragments, aggregated
-:class:`~repro.integration.builder.BuildStats` /
-:class:`~repro.engine.ranking.EngineStats`, thread-mode-identical
-emptiness and error classification — but each shard lives in its own
-worker *process*, reached over newline-delimited JSON-RPC on a local
-socket. A crashed, hung or babbling worker costs one bounded
-restart-and-retry, never the session.
+``EngineConfig(shard_mode="process")``: the same scatter/gather core —
+each worker runs :func:`~repro.engine.sharded.score_fragment`, the
+supervisor decodes its reply into the same
+:class:`~repro.engine.sharded.ShardFragment`, and the one
+:func:`~repro.engine.sharded.merge_fragments` classifies and merges —
+but each shard lives in its own worker *process*, reached over
+newline-delimited JSON-RPC on a local socket. A crashed, hung or
+babbling worker costs one bounded restart-and-retry, never the
+session.
 
 Supervision policy (see ``docs/serving.md`` for the full table):
 
@@ -19,9 +20,9 @@ Supervision policy (see ``docs/serving.md`` for the full table):
   worker re-attaches its shard files), and retry the request — at most
   ``worker_restarts`` times per request;
 * **application errors** (the worker answered a well-formed JSON-RPC
-  error) are deterministic query errors → never restart; re-raise
-  exactly as thread mode classifies them (identical on every shard →
-  re-raise verbatim; partial → wrap naming the shard);
+  error) are deterministic query errors → never restart; classified
+  like any shard error (identical on every shard → re-raise verbatim;
+  partial → wrap naming the shard);
 * **empty shards** are results, not failures (the partition simply
   holds no answers); only when every shard is empty does the
   single-engine :class:`~repro.errors.EmptyAnswerError` re-raise.
@@ -38,31 +39,26 @@ import sys
 import tempfile
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional
 
+if TYPE_CHECKING:
+    from repro.api.spec import QuerySpec
+
+from repro.core.paths import EvidencePath
 from repro.engine.ranking import EngineStats
-from repro.engine.sharded import ShardRouter, aggregate_build_stats
-from repro.errors import EmptyAnswerError, QueryError, RankingError
-from repro.integration.builder import BuildStats, NodePayload
-from repro.integration.query import ExploratoryQuery
+from repro.engine.sharded import GatherResult, Outcome, ShardRouter, ShardScatter
+from repro.errors import QueryError, RankingError
 from repro.serving import rpc
 from repro.serving.source import WorkerSource
 
 __all__ = [
-    "ProcessGatherResult",
     "ProcessShardedEngine",
     "WorkerHandle",
     "live_worker_processes",
 ]
 
 NodeId = Hashable
-
-#: emptiness priority shared with the thread-mode gather (the error
-#: that got furthest is the one the single engine would have raised)
-_EMPTY_PRIORITY = {"no-answers": 2, "dangling-seeds": 1, "no-seeds": 0}
 
 #: every worker process ever spawned and not yet reaped, for leak
 #: detection in tests and the atexit-style finalizer safety net
@@ -315,58 +311,23 @@ class WorkerHandle:
                     pass
 
 
-@dataclass
-class ProcessGatherResult:
-    """A merged process-mode scatter/gather execution — the same
-    observable surface as thread mode's
-    :class:`~repro.engine.sharded.GatherResult`, with per-answer
-    payload records standing in for live shard graphs (the graphs live
-    in the workers; provenance reaches them over RPC)."""
-
-    #: merged node -> score of the disjoint owned fragments
-    scores: Dict[NodeId, float]
-    #: node -> payload (entity_set, key, label) shipped by the owner
-    payloads: Dict[NodeId, NodePayload]
-    #: node -> owning shard index (provenance RPC routing)
-    owner_shards: Dict[NodeId, int]
-    method: str
-    build_stats: BuildStats = field(default_factory=BuildStats)
-    graph_cached: bool = False
-    score_cached: bool = False
-    build_seconds: float = 0.0
-    rank_seconds: float = 0.0
-
-    @property
-    def nodes(self) -> int:
-        return self.build_stats.nodes
-
-    @property
-    def edges(self) -> int:
-        return self.build_stats.edges
-
-
-class ProcessShardedEngine:
+class ProcessShardedEngine(ShardScatter):
     """N shard worker processes behind one scatter/gather surface.
 
-    Mirrors :class:`~repro.engine.sharded.ShardedEngine`'s construction
-    and surface (``gather`` / ``stats_snapshot`` / ``shard_stats`` /
-    ``invalidate`` / ``close``), but each child engine lives in its own
-    process, built from ``source`` — the parent's ``router`` is used
-    for *routing and ownership bookkeeping only*; shard storage is
-    owned by the workers.
+    The sibling of :class:`~repro.engine.sharded.ShardedEngine` over
+    the same scatter and merge (``gather`` / ``stats_snapshot`` /
+    ``shard_stats`` / ``invalidate`` / ``close``), but each child engine
+    lives in its own process, built from ``source`` with
+    ``engine_options`` — the parent's ``router`` is used for *routing
+    and ownership bookkeeping only*; shard storage is owned by the
+    workers.
     """
 
     def __init__(
         self,
         router: ShardRouter,
         source: WorkerSource,
-        backend: str = "compiled",
-        builder: str = "batched",
-        cache_scores: bool = True,
-        max_cached_scores: int = 1024,
-        cache_graphs: bool = True,
-        max_cached_graphs: int = 256,
-        incremental: bool = True,
+        engine_options: Optional[Mapping[str, object]] = None,
         rpc_timeout: float = 30.0,
         worker_restarts: int = 2,
         boot_timeout: float = 60.0,
@@ -376,31 +337,19 @@ class ProcessShardedEngine:
                 f"worker source describes {source.shards} shard(s) but the "
                 f"router has {router.shards}"
             )
-        self.router = router
+        super().__init__(router)
         self.source = source
-        self.builder = builder
         self.rpc_timeout = rpc_timeout
         self.worker_restarts = worker_restarts
         self._closed = False
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         self._socket_dir = tempfile.mkdtemp(prefix="repro-shards-")
-        engine_options = {
-            "backend": backend,
-            "builder": builder,
-            "cache_scores": cache_scores,
-            "max_cached_scores": max_cached_scores,
-            "cache_graphs": cache_graphs,
-            "max_cached_graphs": max_cached_graphs,
-            "incremental": incremental,
-        }
         self.workers: List[WorkerHandle] = []
         try:
             for shard in range(router.shards):
                 self.workers.append(WorkerHandle(
                     shard,
                     source,
-                    engine_options,
+                    engine_options or {},
                     self._socket_dir,
                     boot_timeout=boot_timeout,
                 ))
@@ -458,180 +407,57 @@ class ProcessShardedEngine:
     # ------------------------------------------------------------ #
 
     def gather(
-        self,
-        query: ExploratoryQuery,
-        method: str = "reliability",
-        options: Optional[Mapping[str, object]] = None,
-        builder: Optional[str] = None,
-        max_workers: Optional[int] = None,
-        spec_dict: Optional[Mapping[str, object]] = None,
-    ) -> ProcessGatherResult:
-        """Scatter one spec to its relevant shard workers and merge the
-        owned fragments with thread-mode-identical semantics.
-
-        The wire protocol ships the full :class:`~repro.api.QuerySpec`
-        dict (``spec_dict``); the ``query``/``method``/``options``
-        arguments keep the thread-mode calling convention so the
-        session can treat both engines uniformly."""
+        self, spec: QuerySpec, max_workers: Optional[int] = None
+    ) -> GatherResult:
+        """Scatter ``spec`` to its relevant shard workers and merge the
+        decoded fragments (see :func:`~repro.engine.sharded.merge_fragments`)."""
         self._check_open()
-        if spec_dict is None:
-            spec_dict = _spec_dict_from_query(query, method, options)
-        relevant = self.router.relevant_shards(query)
-        workers = len(relevant) if max_workers is None else max(1, max_workers)
-        params = {"spec": dict(spec_dict), "builder": builder or self.builder}
+        params = {"spec": spec.to_dict()}
 
-        def run(shard: int) -> Tuple[str, object]:
-            handle = self.workers[shard]
+        def run(shard: int) -> Outcome:
             try:
-                return "result", self._call_supervised(
-                    handle, "score_fragment", params
+                record = self._call_supervised(
+                    self.workers[shard], "score_fragment", params
                 )
+                return "ok", rpc.decode_fragment(shard, record)
             except rpc.RpcRemoteError as exc:
                 return "error", (exc.remote if exc.remote is not None else exc)
-            except QueryError as exc:
-                return "infra", exc
+            except QueryError as exc:  # restarts exhausted, or a malformed record
+                return "transport", exc
 
-        if workers > 1 and len(relevant) > 1:
-            if workers >= len(relevant):
-                outcomes = list(self._scatter_pool().map(run, relevant))
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(run, relevant))
-        else:
-            outcomes = [run(shard) for shard in relevant]
-
-        return self._merge(relevant, outcomes, str(spec_dict["method"]))
-
-    def _merge(
-        self,
-        relevant: Sequence[int],
-        outcomes: Sequence[Tuple[str, object]],
-        method: str,
-    ) -> ProcessGatherResult:
-        fragments: List[Tuple[int, Dict[str, object]]] = []
-        empties: List[Tuple[int, EmptyAnswerError]] = []
-        errors: List[Tuple[int, BaseException]] = []
-        infra: List[Tuple[int, QueryError]] = []
-        build_seconds = 0.0
-        rank_seconds = 0.0
-        for shard, (tag, payload) in zip(relevant, outcomes):
-            if tag == "infra":
-                infra.append((shard, payload))  # type: ignore[arg-type]
-                continue
-            if tag == "error":
-                errors.append((shard, payload))  # type: ignore[arg-type]
-                continue
-            record = payload  # type: ignore[assignment]
-            if not isinstance(record, dict):
-                infra.append((shard, QueryError(
-                    f"shard {shard} failed during scatter/gather: "
-                    f"malformed fragment {record!r}"
-                )))
-                continue
-            build_seconds = max(build_seconds, float(record.get("build_seconds", 0.0)))
-            rank_seconds = max(rank_seconds, float(record.get("rank_seconds", 0.0)))
-            if record.get("status") == "empty":
-                empties.append((shard, EmptyAnswerError(
-                    str(record.get("message", "empty shard")),
-                    kind=str(record.get("kind", "no-answers")),
-                )))
-            else:
-                fragments.append((shard, record))
-
-        if infra:
-            # worker infrastructure trouble that bounded restarts did
-            # not cure: always a classified partial failure
-            raise infra[0][1]
-        if errors:
-            # identical deterministic failure on every shard is a
-            # query-level error: re-raise as the single engine would
-            first_shard, first_error = errors[0]
-            deterministic = len(errors) == len(relevant) and all(
-                type(err) is type(first_error) and str(err) == str(first_error)
-                for _, err in errors
-            )
-            if deterministic:
-                raise first_error
-            raise QueryError(
-                f"shard {first_shard} failed during scatter/gather: "
-                f"{first_error}"
-            ) from first_error
-
-        merged: Dict[NodeId, float] = {}
-        payloads: Dict[NodeId, NodePayload] = {}
-        owner_shards: Dict[NodeId, int] = {}
-        for shard, record in fragments:
-            owned = rpc.decode_fragment_scores(record.get("owned", []))  # type: ignore[arg-type]
-            for node, score, label in owned:
-                if node in owner_shards:
-                    raise RankingError(
-                        f"answer {node!r} gathered from two shards; the "
-                        f"partitioner is not a partition"
-                    )
-                merged[node] = score
-                owner_shards[node] = shard
-                entity_set, key = _split_node(node)
-                payloads[node] = NodePayload(
-                    entity_set=entity_set, key=key, record=None, label=label
-                )
-        if not merged:
-            if not empties:  # unreachable unless ownership is broken
-                raise QueryError("no shard produced answers")
-            _, best = max(
-                empties, key=lambda item: _EMPTY_PRIORITY[item[1].kind]
-            )
-            raise best
-
-        populated = [record for _, record in fragments]
-        return ProcessGatherResult(
-            scores=merged,
-            payloads=payloads,
-            owner_shards=owner_shards,
-            method=method,
-            build_stats=aggregate_build_stats([
-                rpc.decode_build_stats(record["build_stats"])  # type: ignore[arg-type]
-                for record in populated
-                if record.get("build_stats") is not None
-            ]),
-            graph_cached=all(bool(r.get("graph_cached")) for r in populated),
-            score_cached=all(bool(r.get("score_cached")) for r in populated),
-            build_seconds=build_seconds,
-            rank_seconds=rank_seconds,
-        )
+        return self._scatter(spec, run, max_workers)
 
     # ------------------------------------------------------------ #
     # answer-level provenance (RPC to the owning shard)
     # ------------------------------------------------------------ #
 
     def explain_answer(
-        self, shard: int, spec_dict: Mapping[str, object], node: NodeId,
-        top: int = 3,
+        self, shard: int, spec: QuerySpec, node: NodeId, top: int = 3
     ) -> str:
         result = self._call_supervised(self.workers[shard], "explain", {
-            "spec": dict(spec_dict), "node": rpc.encode_node(node), "top": top,
+            "spec": spec.to_dict(), "node": rpc.encode_node(node), "top": top,
         })
         return str(result)
 
     def provenance(
-        self, shard: int, spec_dict: Mapping[str, object], node: NodeId,
+        self, shard: int, spec: QuerySpec, node: NodeId,
         top: int = 3, max_paths: int = 1000,
-    ) -> List[Dict[str, object]]:
-        result = self._call_supervised(self.workers[shard], "provenance", {
-            "spec": dict(spec_dict), "node": rpc.encode_node(node),
+    ) -> List[EvidencePath]:
+        records = self._call_supervised(self.workers[shard], "provenance", {
+            "spec": spec.to_dict(), "node": rpc.encode_node(node),
             "top": top, "max_paths": max_paths,
         })
-        return list(result)  # type: ignore[arg-type]
+        return [
+            EvidencePath(
+                nodes=tuple(rpc.decode_node(item) for item in record["nodes"]),
+                probability=float(record["probability"]),
+            )
+            for record in records  # type: ignore[union-attr]
+        ]
 
     # ------------------------------------------------------------ #
     # stats and lifecycle (aggregated over the workers)
     # ------------------------------------------------------------ #
-
-    @property
-    def stats(self) -> EngineStats:
-        return self.stats_snapshot()
-
-    def stats_snapshot(self) -> EngineStats:
-        return EngineStats.aggregate(self.shard_stats())
 
     def shard_stats(self) -> List[EngineStats]:
         self._check_open()
@@ -685,10 +511,7 @@ class ProcessShardedEngine:
         if self._closed:
             return
         self._closed = True
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        self._close_pool()
         for handle in self.workers:
             handle.close()
         finalizer = getattr(self, "_finalizer", None)
@@ -702,15 +525,6 @@ class ProcessShardedEngine:
     def _check_open(self) -> None:
         if self._closed:
             raise RankingError("this process-sharded engine is closed")
-
-    def _scatter_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(1, self.shards),
-                    thread_name_prefix="shard-rpc",
-                )
-            return self._pool
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -732,42 +546,3 @@ def _finalize_workers(handles: List[WorkerHandle], socket_dir: str) -> None:
         os.rmdir(socket_dir)
     except OSError:
         pass
-
-
-def _split_node(node: NodeId) -> Tuple[str, Hashable]:
-    """Node ids are ``(entity_set, key)`` tuples everywhere the
-    integration layer builds them; tolerate anything else by echoing
-    the node as its own key."""
-    if isinstance(node, tuple) and len(node) == 2 and isinstance(node[0], str):
-        return node[0], node[1]
-    return ("", node)
-
-
-def _spec_dict_from_query(
-    query: ExploratoryQuery,
-    method: str,
-    options: Optional[Mapping[str, object]],
-) -> Dict[str, object]:
-    """A best-effort spec dict for callers that come through the
-    thread-mode calling convention without a ``QuerySpec`` (tests,
-    direct engine use). The session always passes ``spec_dict``."""
-    spec: Dict[str, object] = {
-        "entity_set": query.entity_set,
-        "attribute": query.attribute,
-        "value": query.value,
-        "outputs": list(query.outputs),
-        "method": method,
-    }
-    options = dict(options or {})
-    rng = options.pop("rng", None)
-    if isinstance(rng, int):
-        spec["seed"] = rng
-    clean = {
-        key: value
-        for key, value in options.items()
-        if key in ("strategy", "trials", "reduce", "iterations",
-                   "tolerance", "max_iterations")
-    }
-    if clean:
-        spec["options"] = clean
-    return spec

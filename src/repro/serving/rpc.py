@@ -28,8 +28,9 @@ from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import repro.errors as _errors
 from repro.engine.ranking import EngineStats
+from repro.engine.sharded import ShardFragment
 from repro.errors import EmptyAnswerError, QueryError, ReproError
-from repro.integration.builder import BuildStats
+from repro.integration.builder import BuildStats, NodePayload
 
 __all__ = [
     "RPC_PROTOCOL_VERSION",
@@ -39,11 +40,13 @@ __all__ = [
     "decode_build_stats",
     "decode_engine_stats",
     "decode_exception",
+    "decode_fragment",
     "decode_message",
     "decode_node",
     "encode_build_stats",
     "encode_engine_stats",
     "encode_exception",
+    "encode_fragment",
     "encode_message",
     "encode_node",
 ]
@@ -328,3 +331,61 @@ def encode_fragment_scores(owned: List[Tuple[Hashable, float, str]]) -> List[Lis
 
 def decode_fragment_scores(data: List[List[object]]) -> List[Tuple[Hashable, float, str]]:
     return [(decode_node(node), float(score), str(label)) for node, score, label in data]
+
+
+def encode_fragment(fragment: ShardFragment) -> Dict[str, object]:
+    """A worker's :class:`~repro.engine.sharded.ShardFragment` as the
+    ``score_fragment`` result record (the graph stays in the worker)."""
+    if fragment.empty is not None:
+        return {
+            "status": "empty",
+            "kind": fragment.empty.kind,
+            "message": str(fragment.empty),
+            "build_seconds": fragment.build_seconds,
+        }
+    return {
+        "status": "ok",
+        "owned": encode_fragment_scores([
+            (node, score, str(fragment.payloads[node].label))
+            for node, score in fragment.scores.items()
+        ]),
+        "build_stats": encode_build_stats(fragment.build_stats),  # type: ignore[arg-type]
+        "graph_cached": fragment.graph_cached,
+        "score_cached": fragment.score_cached,
+        "build_seconds": fragment.build_seconds,
+        "rank_seconds": fragment.rank_seconds,
+    }
+
+
+def decode_fragment(shard: int, record: object) -> ShardFragment:
+    """The inverse of :func:`encode_fragment`. A record that does not
+    decode is a transport failure: the worker's state is unknown."""
+    try:
+        if record["status"] == "empty":  # type: ignore[index]
+            return ShardFragment(
+                shard,
+                build_seconds=float(record["build_seconds"]),  # type: ignore[index]
+                empty=EmptyAnswerError(
+                    str(record["message"]), kind=str(record["kind"])  # type: ignore[index]
+                ),
+            )
+        fragment = ShardFragment(
+            shard,
+            build_stats=decode_build_stats(record["build_stats"]),  # type: ignore[index]
+            graph_cached=bool(record["graph_cached"]),  # type: ignore[index]
+            score_cached=bool(record["score_cached"]),  # type: ignore[index]
+            build_seconds=float(record["build_seconds"]),  # type: ignore[index]
+            rank_seconds=float(record["rank_seconds"]),  # type: ignore[index]
+        )
+        for node, score, label in decode_fragment_scores(record["owned"]):  # type: ignore[index]
+            entity_set, key = node
+            fragment.scores[node] = score
+            fragment.payloads[node] = NodePayload(
+                entity_set=entity_set, key=key, record=None, label=label
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RpcTransportError(
+            f"shard {shard} failed during scatter/gather: malformed "
+            f"fragment {record!r} ({type(exc).__name__}: {exc})"
+        ) from None
+    return fragment

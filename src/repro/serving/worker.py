@@ -42,23 +42,12 @@ from typing import Callable, Dict, Mapping, Optional
 from repro.api.spec import QuerySpec
 from repro.core.paths import enumerate_paths, explain_answer
 from repro.engine.ranking import RankingEngine
-from repro.engine.sharded import ShardRouter
-from repro.errors import EmptyAnswerError, QueryError, ReproError
+from repro.engine.sharded import ShardRouter, score_fragment
+from repro.errors import QueryError, ReproError
 from repro.serving import rpc
 from repro.serving.source import WorkerSource
 
 __all__ = ["ShardWorker", "main"]
-
-#: engine-construction knobs the bootstrap spec may carry
-_ENGINE_FIELDS = (
-    "backend",
-    "builder",
-    "cache_scores",
-    "max_cached_scores",
-    "cache_graphs",
-    "max_cached_graphs",
-    "incremental",
-)
 
 
 class ShardWorker:
@@ -72,12 +61,7 @@ class ShardWorker:
     ):
         self.shard = shard
         self.source = source
-        self._engine_options = {
-            key: value
-            for key, value in dict(engine_options or {}).items()
-            if key in _ENGINE_FIELDS
-        }
-        self._builder = self._engine_options.get("builder", "batched")
+        self._engine_options = dict(engine_options or {})
         self._cleanup: Optional[Callable[[], None]] = None
         self.router: Optional[ShardRouter] = None
         self.engine: Optional[RankingEngine] = None
@@ -102,10 +86,8 @@ class ShardWorker:
             )
         self.router = router
         self._cleanup = cleanup
-        builder_kwargs = dict(self._engine_options)
-        builder_kwargs.pop("builder", None)
         self.engine = RankingEngine(
-            mediator=router.mediators[self.shard], **builder_kwargs
+            mediator=router.mediators[self.shard], **self._engine_options
         )
 
     def close(self) -> None:
@@ -124,54 +106,21 @@ class ShardWorker:
 
     def score_fragment(self, params: Mapping[str, object]) -> Dict[str, object]:
         """Execute + rank one spec on this shard, returning the owned
-        score fragment (or the structured empty-shard record)."""
-        spec = QuerySpec.from_dict(params["spec"])  # type: ignore[arg-type]
-        builder = params.get("builder") or self._builder
-        options = spec.options.to_kwargs(spec.method, spec.seed)
+        fragment as its RPC record (see :func:`~repro.engine.sharded.score_fragment`)."""
         assert self.engine is not None and self.router is not None
-        started = time.perf_counter()
-        try:
-            qg, build_stats, graph_cached = self.engine.execute_with_stats(
-                spec.to_exploratory(), builder=builder
-            )
-        except EmptyAnswerError as exc:
-            return {
-                "status": "empty",
-                "kind": exc.kind,
-                "message": str(exc),
-                "build_seconds": time.perf_counter() - started,
-            }
-        build_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        ranked, score_cached = self.engine.rank_with_stats(
-            qg, spec.method, **options
+        fragment = score_fragment(
+            self.engine,
+            self.router,
+            self.shard,
+            QuerySpec.from_dict(params["spec"]),  # type: ignore[arg-type]
         )
-        rank_seconds = time.perf_counter() - started
-        owner = self.router.owner
-        graph = qg.graph
-        owned = []
-        for node in qg.targets:
-            payload = graph.data(node)
-            if owner(payload.entity_set, payload.key) == self.shard:
-                owned.append((node, ranked.scores[node], str(payload.label)))
         self._queries_served += 1
-        return {
-            "status": "ok",
-            "owned": rpc.encode_fragment_scores(owned),
-            "build_stats": rpc.encode_build_stats(build_stats),
-            "graph_cached": bool(graph_cached),
-            "score_cached": bool(score_cached),
-            "build_seconds": build_seconds,
-            "rank_seconds": rank_seconds,
-        }
+        return rpc.encode_fragment(fragment)
 
     def _graph_for(self, params: Mapping[str, object]):
         spec = QuerySpec.from_dict(params["spec"])  # type: ignore[arg-type]
         assert self.engine is not None
-        return self.engine.execute(
-            spec.to_exploratory(),
-            builder=params.get("builder") or self._builder,
-        )
+        return self.engine.execute(spec.to_exploratory())
 
     def explain(self, params: Mapping[str, object]) -> str:
         """Human-readable provenance of one owned answer (identical to

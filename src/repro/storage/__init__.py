@@ -7,8 +7,8 @@ the integration layer needs for link-following.
 
 Tables are facades over a :class:`~repro.storage.backends.StorageBackend`:
 ``"memory"`` (dict rows + hash indexes, the default), ``"sqlite"``
-(disk persistence, batched ``SELECT ... IN`` lookups), ``"columnar"``
-(parallel arrays, cheap scans) and ``"vectorized"`` (dtype-typed numpy
+(disk persistence, batched ``SELECT ... IN`` lookups) and
+``"vectorized"`` (dtype-typed numpy
 columns, vectorized probes, selection-vector reads, mmap persistence) —
 selected per :class:`~repro.storage.database.Database` via
 ``Database(storage=...)``.
@@ -26,7 +26,6 @@ from repro.storage.backends import (
 )
 from repro.storage.changes import ChangeSet, TableChangeLog
 from repro.storage.column import Column, ColumnType
-from repro.storage.columnar import ColumnarBackend
 from repro.storage.csv_io import dump_database, dump_table, load_table_rows
 from repro.storage.database import Database
 from repro.storage.index import HashIndex
@@ -39,7 +38,6 @@ __all__ = [
     "ChangeSet",
     "Column",
     "ColumnType",
-    "ColumnarBackend",
     "MemoryBackend",
     "SQLiteBackend",
     "SQLiteStore",

@@ -13,9 +13,6 @@ protocol:
   persisted to a SQLite file (or a private in-memory database) with SQL
   indexes on the key columns; batch lookups run as chunked
   ``SELECT ... IN`` queries.
-* :class:`~repro.storage.columnar.ColumnarBackend` (``"columnar"``) —
-  fields stored as parallel arrays, so unindexed probes scan only the
-  probed column instead of materialised row dicts.
 * :class:`~repro.storage.vectorized.VectorizedColumnarBackend`
   (``"vectorized"``) — dtype-typed numpy columns with vectorized
   predicate evaluation, an optional batch-columnar read surface
@@ -59,7 +56,7 @@ __all__ = [
 ]
 
 #: the storage backends ``Database``/``EngineConfig`` accept
-STORAGE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite", "columnar", "vectorized")
+STORAGE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite", "vectorized")
 
 
 class StorageBackend(ABC):
@@ -73,7 +70,7 @@ class StorageBackend(ABC):
     bare values for single-column probes, value tuples otherwise.
     """
 
-    #: registry name (``"memory"`` / ``"sqlite"`` / ``"columnar"`` / ...)
+    #: registry name (``"memory"`` / ``"sqlite"`` / ``"vectorized"``)
     name: str = "?"
 
     #: True when the backend serves the optional batch-columnar read
@@ -193,7 +190,7 @@ class StorageBackend(ABC):
 
 class HashIndexedBackend(StorageBackend):
     """Shared :class:`~repro.storage.index.HashIndex` machinery for the
-    in-process backends (memory, columnar): index registry/probing and
+    in-process backends (memory, vectorized): index registry/probing and
     the atomic add-to-all-indexes-with-rollback insert step."""
 
     def __init__(self) -> None:
@@ -373,10 +370,6 @@ def create_backend(
     """
     if storage == "memory":
         return MemoryBackend()
-    if storage == "columnar":
-        from repro.storage.columnar import ColumnarBackend
-
-        return ColumnarBackend()
     if storage == "vectorized":
         from repro.storage.vectorized import (
             VectorizedColumnarBackend,

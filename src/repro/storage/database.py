@@ -23,8 +23,7 @@ class Database:
     database is created on: ``"memory"`` (the default dict-backed
     layout), ``"sqlite"`` (persistent; ``storage_path`` names the
     database file, ``None`` keeps it in a private in-memory SQLite
-    database), ``"columnar"`` (parallel-array layout for cheap scans),
-    or ``"vectorized"`` (dtype-typed numpy columns with vectorized
+    database), or ``"vectorized"`` (dtype-typed numpy columns with vectorized
     probes; ``storage_path`` names a directory of memory-mapped
     ``.npy`` column files). All backends serve identical semantics —
     see ``docs/backends.md``.

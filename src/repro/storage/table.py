@@ -5,7 +5,7 @@ validation, type coercion, key/probe normalisation, the ``version``
 mutation counter the engine's epoch invalidation watches — and
 delegates the physical representation to a pluggable
 :class:`~repro.storage.backends.StorageBackend` (in-memory dicts by
-default; SQLite persistence and columnar arrays via
+default; SQLite persistence and numpy columns via
 ``Database(storage=...)``). All backends serve the same batch contract
 (:meth:`Table.lookup_many` / :meth:`Table.lookup_in`), so the mediator,
 graph builders and engine caches work identically across them.
@@ -397,8 +397,8 @@ class Table:
         keys with no matching rows are omitted, so ``result.get(key)``
         distinguishes hits from misses. Backends answer the whole batch
         with one physical pass where possible: one hash-index probe pass
-        in memory, chunked ``SELECT ... IN`` under SQLite, one column
-        scan in the columnar layout.
+        in memory, chunked ``SELECT ... IN`` under SQLite, vectorized
+        probes over numpy columns.
         """
         columns = tuple(columns)
         self._require_columns(columns, "lookup_many")

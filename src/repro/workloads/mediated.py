@@ -309,8 +309,7 @@ def mediated_layers(
     the relationship bindings — and the materialised graph — cyclic.
 
     ``storage`` selects the physical backend of every generated source
-    table (``"memory"`` | ``"sqlite"`` | ``"columnar"`` |
-    ``"vectorized"``); with a ``storage_path`` directory, layer ``i``
+    table (``"memory"`` | ``"sqlite"`` | ``"vectorized"``); with a ``storage_path`` directory, layer ``i``
     persists to ``<storage_path>/layer<i>.sqlite`` under
     ``storage="sqlite"`` or to the ``<storage_path>/layer<i>/``
     directory of memory-mapped ``.npy`` column files under

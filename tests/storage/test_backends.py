@@ -2,8 +2,8 @@
 
 The shared Table semantics are covered by ``test_table.py`` (the whole
 suite is parametrized over every backend); this module tests what is
-*not* shared — SQLite persistence and re-attachment, columnar position
-bookkeeping under deletes, NULL-key batch probes, and the contract the
+*not* shared — SQLite persistence and re-attachment, NULL-key batch
+probes, and the contract the
 engine depends on: mutations through any backend bump ``Table.version``
 and invalidate the engine's epoch-guarded query cache.
 """
@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import EngineConfig, open_session
 from repro.errors import RankingError, StorageError
+from repro.serving.__main__ import _build_parser
 from repro.storage import (
     STORAGE_BACKENDS,
     Column,
@@ -43,7 +44,7 @@ class TestRegistry:
 
     def test_storage_path_requires_sqlite(self):
         with pytest.raises(StorageError, match="storage_path"):
-            Database("d", storage="columnar", storage_path="/tmp/x")
+            Database("d", storage="memory", storage_path="/tmp/x")
 
     @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
     def test_table_reports_its_storage(self, storage):
@@ -51,6 +52,25 @@ class TestRegistry:
         table = db.create_table("t", _gene_columns())
         assert table.storage == storage
         assert db.storage == storage
+
+    @pytest.mark.parametrize("storage", STORAGE_BACKENDS)
+    def test_serving_cli_offers_every_backend(self, storage):
+        assert _build_parser().parse_args(["--storage", storage]).storage == storage
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            (lambda: _build_parser().parse_args(["--storage", "columnar"]), SystemExit),
+            (lambda: EngineConfig(storage="columnar"), RankingError),
+            (lambda: Database("d", storage="columnar"), StorageError),
+            (lambda: create_backend("columnar"), StorageError),
+        ],
+        ids=["serving cli", "engine config", "database", "create_backend"],
+    )
+    def test_columnar_is_not_a_backend(self, entry, error, capsys):
+        with pytest.raises(error):
+            entry()
+        assert "columnar" not in STORAGE_BACKENDS
 
 
 class TestSQLitePersistence:
@@ -228,78 +248,6 @@ class TestSQLitePersistence:
         assert set(grouped.keys()) == {None, 7}
         assert [r["gid"] for r in grouped[None]] == ["a"]
         assert table.lookup_in(("chrom",), [None, 8]) == {None}
-
-
-class TestColumnarInternals:
-    def test_delete_keeps_positions_consistent(self):
-        table = Table(
-            "t", _gene_columns(), backend=create_backend("columnar")
-        )
-        ids = [
-            table.insert({"gid": f"g{i}", "chrom": i, "active": True})
-            for i in range(5)
-        ]
-        table.delete(ids[1])
-        table.delete(ids[3])
-        assert [row["gid"] for row in table.rows()] == ["g0", "g2", "g4"]
-        # positional bookkeeping survives: get() by id, scans, lookups
-        assert table.get(ids[4])["chrom"] == 4
-        assert table.lookup(("chrom",), (2,))[0]["gid"] == "g2"
-        grouped = table.lookup_many(("gid",), ["g0", "g4", "g1"])
-        assert set(grouped) == {"g0", "g4"}
-
-    def test_unindexed_composite_probe(self):
-        table = Table(
-            "t", _gene_columns(), backend=create_backend("columnar")
-        )
-        table.insert({"gid": "a", "chrom": 1, "active": True})
-        table.insert({"gid": "a", "chrom": 2, "active": True})
-        grouped = table.lookup_many(("gid", "chrom"), [("a", 2), ("a", 9)])
-        assert set(grouped) == {("a", 2)}
-        assert table.lookup_in(("gid", "chrom"), [("a", 1), ("b", 1)]) == {("a", 1)}
-
-    def test_scan_keeps_duplicates_past_the_last_distinct_match(self):
-        """Regression: without a unique index the probe scan must run to
-        the end of the column. Here every wanted key has matched by
-        position 1, but key "a" has a duplicate at position 2 — an
-        unconditional early exit would silently drop it."""
-        table = Table(
-            "t", _gene_columns(), backend=create_backend("columnar")
-        )
-        table.insert({"gid": "a", "chrom": 1, "active": True})
-        table.insert({"gid": "b", "chrom": 2, "active": True})
-        table.insert({"gid": "a", "chrom": 3, "active": True})
-        grouped = table.lookup_many(("gid",), ["a", "b"])
-        assert [row["chrom"] for row in grouped["a"]] == [1, 3]
-        assert [row["chrom"] for row in grouped["b"]] == [2]
-
-    def test_unique_subset_index_enables_scan_early_exit(self):
-        """A unique index over a *subset* of the probed columns caps
-        every probe key at one row, so the composite-probe scan (which
-        has no exact-match index to use) may stop once all keys hit."""
-
-        class CountingColumn(list):
-            iterated = 0
-
-            def __iter__(self):
-                for value in super().__iter__():
-                    CountingColumn.iterated += 1
-                    yield value
-
-        table = Table(
-            "t", _gene_columns(), backend=create_backend("columnar")
-        )
-        table.create_index("by_gid", ["gid"], unique=True)
-        for i in range(50):
-            table.insert({"gid": f"g{i}", "chrom": i, "active": True})
-        backend = table._backend
-        assert backend._unique_probe(("gid", "chrom"))
-        backend._data["gid"] = CountingColumn(backend._data["gid"])
-
-        grouped = table.lookup_many(("gid", "chrom"), [("g0", 0), ("g3", 3)])
-        assert set(grouped) == {("g0", 0), ("g3", 3)}
-        # stopped at position 3 of 50, not a full pass
-        assert CountingColumn.iterated == 4
 
 
 @pytest.mark.parametrize("storage", STORAGE_BACKENDS)

@@ -217,7 +217,7 @@ class TestColumnarSurface:
             assert gids.tolist() == [row["gid"] for row in rows[key]]
             assert weights.tolist() == [row["weight"] for row in rows[key]]
 
-    @pytest.mark.parametrize("storage", ["memory", "sqlite", "columnar"])
+    @pytest.mark.parametrize("storage", ["memory", "sqlite"])
     def test_other_backends_have_no_columnar_surface(self, storage):
         table = Table("t", _gene_columns(), backend=create_backend(storage))
         assert not table.supports_columnar

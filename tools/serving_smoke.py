@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """End-to-end smoke of the serving stack, as CI runs it.
 
-Boots ``python -m repro.serving`` as a real subprocess (process shard
-mode over a generated ``mediated_layers`` workload), then drives it the
-way an operator and a client would:
+Boots ``python -m repro.serving`` as a real subprocess over a generated
+``mediated_layers`` workload, once per shard mode (``thread``, then
+``process``), and drives it the way an operator and a client would:
 
 1. waits for the address announcement on stdout and polls ``/health``;
 2. executes a query over HTTP and compares every score bit-for-bit
    against an in-process single-engine session on the same workload;
 3. exercises ``/execute_many``, ``/explain``, ``/stats`` and
    ``/shard_stats``;
-4. SIGKILLs one shard worker (pid taken from ``/shard_stats``) and
-   re-runs the query — the supervised restart must produce the same
-   bit-identical answer, and ``/shard_stats`` must show the restart;
-5. shuts the server down with SIGTERM and verifies a clean exit with
-   no surviving worker processes.
+4. process mode only: SIGKILLs one shard worker (pid taken from
+   ``/shard_stats``) and re-runs the query — the supervised restart
+   must produce the same bit-identical answer, and ``/shard_stats``
+   must show the restart;
+5. shuts the server down with SIGTERM and verifies a clean exit (in
+   process mode: with no surviving worker processes).
 
 Exit status: 0 on success; non-zero with a diagnostic on any failure.
 """
@@ -75,21 +76,8 @@ def _fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def main() -> int:
-    # the in-process reference: same generation recipe, single engine
-    sys.path.insert(0, str(ROOT / "src"))
-    from repro.workloads import mediated_layers
-
-    workload = mediated_layers(shards=SHARDS, **WORKLOAD)
-    spec = workload.spec(method="in_edge")
-    spec_dict = spec.to_dict()
-    with workload.open_session(sharded=False) as session:
-        reference = {
-            str(e.key): e.score for e in session.execute(spec)
-        }
-    workload.close()
-    print(f"reference: {len(reference)} answers from the single engine")
-
+def _smoke(mode: str, spec_dict: dict, reference: dict) -> None:
+    """Boot one server in shard mode ``mode`` and run steps 1-5."""
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serving",
@@ -99,7 +87,7 @@ def main() -> int:
             "--seeds", str(WORKLOAD["seeds"]),
             "--rng", str(WORKLOAD["rng"]),
             "--shards", str(SHARDS),
-            "--shard-mode", "process",
+            "--shard-mode", mode,
             "--port", "0",
         ],
         cwd=ROOT,
@@ -107,13 +95,14 @@ def main() -> int:
         stdout=subprocess.PIPE,
         text=True,
     )
+    worker_pids = []
     try:
         announcement = server.stdout.readline()
         if not announcement:
             _fail("server exited before announcing its address")
         address = json.loads(announcement)
         url = address["url"]
-        print(f"server up at {url} (pid {address['pid']})")
+        print(f"[{mode}] server up at {url} (pid {address['pid']})")
 
         deadline = time.monotonic() + BOOT_TIMEOUT
         while True:
@@ -124,16 +113,18 @@ def main() -> int:
                 if time.monotonic() > deadline:
                     _fail("server did not become healthy in time")
                 time.sleep(0.2)
-        if health.get("status") != "ok" or health.get("shard_mode") != "process":
+        if health.get("status") != "ok" or health.get("shard_mode") != mode:
             _fail(f"unexpected /health: {health}")
-        if health.get("workers_alive") != SHARDS:
+        if health.get("shards") != SHARDS or not health.get("sharded"):
+            _fail(f"expected {SHARDS} shards, got {health}")
+        if mode == "process" and health.get("workers_alive") != SHARDS:
             _fail(f"expected {SHARDS} live workers, got {health}")
-        print(f"health: {health}")
+        print(f"[{mode}] health: {health}")
 
         served = _scores(_request(f"{url}/execute", spec_dict))
         if served != reference:
             _fail("served scores differ from the single-engine reference")
-        print(f"execute: {len(served)} answers, bit-identical to reference")
+        print(f"[{mode}] execute: {len(served)} answers, bit-identical to reference")
 
         many = _request(f"{url}/execute_many", {"specs": [spec_dict, spec_dict]})
         if many["count"] != 2 or any(
@@ -146,36 +137,15 @@ def main() -> int:
         stats = _request(f"{url}/stats")
         if stats["engine"]["queries_executed"] < SHARDS:
             _fail(f"unexpected /stats: {stats}")
-        print("execute_many / explain / stats: ok")
-
         shard_stats = _request(f"{url}/shard_stats")
-        workers = shard_stats.get("workers") or []
-        if len(workers) != SHARDS:
-            _fail(f"expected {SHARDS} workers in /shard_stats: {shard_stats}")
-        victim = workers[0]
-        print(f"killing shard {victim['shard']} worker (pid {victim['pid']})")
-        os.kill(victim["pid"], signal.SIGKILL)
-        # no wait: the killed worker stays a zombie until the
-        # supervisor reaps it on the next request, which is the point
+        if len(shard_stats.get("shards") or []) != SHARDS or any(
+            shard["queries_executed"] < 1 for shard in shard_stats["shards"]
+        ):
+            _fail(f"unexpected /shard_stats: {shard_stats}")
+        print(f"[{mode}] execute_many / explain / stats / shard_stats: ok")
 
-        # the supervised restart must reproduce the identical answer
-        recovered = _scores(_request(f"{url}/execute", spec_dict))
-        if recovered != reference:
-            _fail("post-kill scores differ from the reference")
-        after = _request(f"{url}/shard_stats")
-        restarted = next(
-            w for w in after["workers"] if w["shard"] == victim["shard"]
-        )
-        if not restarted["alive"] or restarted["restarts"] < 1:
-            _fail(f"worker was not restarted: {after}")
-        if restarted["pid"] == victim["pid"]:
-            _fail("restarted worker reports the killed pid")
-        print(
-            f"shard {victim['shard']} restarted as pid {restarted['pid']}, "
-            f"answers bit-identical"
-        )
-
-        worker_pids = [w["pid"] for w in after["workers"]]
+        if mode == "process":
+            worker_pids = _kill_and_recover(url, spec_dict, reference, shard_stats)
     finally:
         if server.poll() is None:
             server.send_signal(signal.SIGTERM)
@@ -194,7 +164,56 @@ def main() -> int:
         if time.monotonic() > deadline:
             _fail(f"worker processes survived shutdown: {worker_pids}")
         time.sleep(0.1)
-    print("clean shutdown, all workers reaped")
+    print(f"[{mode}] clean shutdown" + (", all workers reaped" if worker_pids else ""))
+
+
+def _kill_and_recover(url: str, spec_dict: dict, reference: dict,
+                      shard_stats: dict) -> list:
+    """Step 4: SIGKILL one worker; return the live worker pids after
+    the supervised restart."""
+    workers = shard_stats.get("workers") or []
+    if len(workers) != SHARDS:
+        _fail(f"expected {SHARDS} workers in /shard_stats: {shard_stats}")
+    victim = workers[0]
+    print(f"[process] killing shard {victim['shard']} worker (pid {victim['pid']})")
+    os.kill(victim["pid"], signal.SIGKILL)
+    # no wait: the killed worker stays a zombie until the
+    # supervisor reaps it on the next request, which is the point
+
+    # the supervised restart must reproduce the identical answer
+    recovered = _scores(_request(f"{url}/execute", spec_dict))
+    if recovered != reference:
+        _fail("post-kill scores differ from the reference")
+    after = _request(f"{url}/shard_stats")
+    restarted = next(
+        w for w in after["workers"] if w["shard"] == victim["shard"]
+    )
+    if not restarted["alive"] or restarted["restarts"] < 1:
+        _fail(f"worker was not restarted: {after}")
+    if restarted["pid"] == victim["pid"]:
+        _fail("restarted worker reports the killed pid")
+    print(
+        f"[process] shard {victim['shard']} restarted as pid "
+        f"{restarted['pid']}, answers bit-identical"
+    )
+    return [w["pid"] for w in after["workers"]]
+
+
+def main() -> int:
+    # the in-process reference: same generation recipe, single engine
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.workloads import mediated_layers
+
+    workload = mediated_layers(shards=SHARDS, **WORKLOAD)
+    spec = workload.spec(method="in_edge")
+    with workload.open_session(sharded=False) as session:
+        reference = {
+            str(e.key): e.score for e in session.execute(spec)
+        }
+    workload.close()
+    print(f"reference: {len(reference)} answers from the single engine")
+    for mode in ("thread", "process"):
+        _smoke(mode, spec.to_dict(), reference)
     return 0
 
 
