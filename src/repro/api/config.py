@@ -200,11 +200,10 @@ class EngineConfig:
     #: ``docs/architecture.md``); ``False`` re-materialises cold on any
     #: relevant change
     incremental: bool = True
-    #: thread-pool width for ``Session.execute_many``'s spec-level
-    #: batching on unsharded sessions; 0 or 1 disables threading (specs
-    #: still share graph materialisation work). Sharded sessions
-    #: parallelise across shards instead (scatter width = shard count;
-    #: cap per call via ``execute_many(..., max_workers=)``)
+    #: thread-pool width for ``Session.execute_many``'s traversal
+    #: groups, on every session; 0 or 1 runs the groups in sequence
+    #: (specs still share graph materialisation work). Each group still
+    #: scatters across its relevant shards, as wide as the shard count
     max_workers: int = 4
     #: storage backend for databases created through this session
     #: (``Session.create_database`` and the workload generators):
@@ -216,9 +215,10 @@ class EngineConfig:
     #: database under the vectorized backend; ``None`` keeps either
     #: backend in process memory
     storage_path: Optional[str] = None
-    #: number of scatter/gather shards; 1 (the default) runs the
-    #: classic single engine, ``N > 1`` partitions the answer space
-    #: across N child engines (see ``docs/architecture.md``)
+    #: number of scatter/gather shards; 1 (the default) runs one shard
+    #: that owns every answer over the session's own mediator and
+    #: engine, ``N > 1`` partitions the answer space across N child
+    #: engines (see ``docs/architecture.md``)
     shards: int = 1
     #: answer-ownership strategy for sharded sessions: ``"hash"``
     #: (stable content hash) or ``"range"`` (balanced key ranges
@@ -228,7 +228,11 @@ class EngineConfig:
     #: pool over in-process child engines; ``"process"`` promotes every
     #: shard to a supervised worker *process* reached over JSON-RPC
     #: (see ``docs/serving.md``) — results are bit-identical, but a
-    #: crashed or hung shard costs a bounded restart, not the session
+    #: crashed or hung shard costs a bounded restart, not the session.
+    #: Process workers serve the snapshot they were opened on: a write
+    #: to the parent's tables after open is not seen until the shard
+    #: files are refreshed and ``process_engine.repair(reload=True)``
+    #: re-attaches them
     shard_mode: str = "thread"
     #: per-RPC response deadline (seconds) in process mode; a worker
     #: silent past this is treated as hung and restarted

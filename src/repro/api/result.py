@@ -331,8 +331,9 @@ class ShardedResultSet(ResultSet):
 
     Scores, ordering, rank intervals, tie groups, pagination and export
     behave exactly as on a single-engine result (the merged score dict
-    *is* the result); entity records come from the payloads each owning
-    shard shipped with its fragment. Provenance and explanations
+    *is* the result); entity records come from each owning shard's
+    payloads (its in-process graph, or the record its worker shipped).
+    Provenance and explanations
     dispatch to the shard that owns each answer — its in-process graph,
     or an RPC to its worker process. By the sink-partitioning rule the
     owning shard holds the answer's complete ancestor subgraph, so the
@@ -360,7 +361,7 @@ class ShardedResultSet(ResultSet):
         )
 
     def _payload(self, node: NodeId) -> object:
-        return self._gathered.payloads[node]
+        return self._gathered.payload(node)
 
     @property
     def graph(self) -> QueryGraph:

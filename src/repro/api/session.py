@@ -13,6 +13,10 @@ HTTP layer talk to::
                  .outputs("GOTerm").rank_by("reliability").top(10)
         )
 
+Every execution scatters the spec to its relevant shards and merges
+their fragments (:mod:`repro.engine.sharded`). Unsharded means one
+shard owning every answer, whose engine is :attr:`Session.engine`.
+
 ``execute_many`` runs independent specs as a batch: identical specs are
 deduplicated, specs that share a traversal (same entity set, attribute
 and value — output sets only *filter* the answer set, they never change
@@ -25,12 +29,12 @@ and cache provenance.
 from __future__ import annotations
 
 import threading
-import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -52,13 +56,13 @@ from repro.api.config import EngineConfig, RankingOptions
 from repro.api.result import ResultSet, ShardedResultSet
 from repro.api.spec import Query, QuerySpec
 from repro.core.graph import QueryGraph
+from repro.core.ranker import RankedResult
 from repro.engine.ranking import EngineStats, RankingEngine
-from repro.engine.sharded import ShardedEngine, ShardRouter
+from repro.engine.sharded import GatherResult, HashPartitioner, ShardedEngine, ShardRouter
 from repro.errors import QueryError, RankingError, ReproError
 from repro.integration.builder import BuildStats
 from repro.integration.mediator import Mediator
 from repro.integration.probability import ConfidenceRegistry
-from repro.integration.query import ExploratoryQuery, select_answers
 from repro.integration.sources import DataSource
 
 __all__ = ["Explanation", "Session", "open_session"]
@@ -82,12 +86,15 @@ class Explanation:
     score_cached: bool
     builder: str
     backend: str
+    #: the query graph's size; summed over the shard builds unless one
+    #: shard owns every answer (replicated ancestors count per shard)
     nodes: int
     edges: int
     answers: int
     #: stats of the original materialisation (also when cache-served)
     build_stats: BuildStats
-    #: content fingerprint of the compiled graph (compiled backend only)
+    #: content fingerprint of the compiled query graph, once compiled,
+    #: when one shard owns every answer (else there is no one graph)
     fingerprint: Optional[str]
     build_seconds: float
     rank_seconds: float
@@ -124,6 +131,13 @@ class Explanation:
         )
 
 
+def _whole_graph_result(gathered: GatherResult, spec: QuerySpec) -> ResultSet:
+    """An unsharded session's result, over its one shard's graph (which
+    is the whole query graph)."""
+    ranked = RankedResult(method=gathered.method, scores=gathered.scores)
+    return ResultSet(ranked, gathered.fragments[0].graph, spec=spec)  # type: ignore[arg-type]
+
+
 class Session:
     """A configured mediator + engine pair behind one stable surface.
 
@@ -141,7 +155,6 @@ class Session:
     ) -> None:
         self._config = config or EngineConfig()
         self._mediator = mediator if mediator is not None else Mediator()
-        self._engine = self._config.make_engine(self._mediator)
         # scatter/gather wiring: an explicit router (pre-partitioned
         # storage, e.g. mediated_layers(shards=)) wins; otherwise
         # config.shards > 1 derives partition views from the mediator
@@ -155,9 +168,8 @@ class Session:
                 self._mediator, self._config.shards, self._config.partitioner
             )
         self._router = router
-        #: the scatter/gather engine of a sharded session (thread or
-        #: process mode), ``None`` when unsharded
-        self._shards: Optional[Union[ShardedEngine, "ProcessShardedEngine"]] = None
+        #: the one scatter/gather engine every execution runs through
+        self._scatter: Union[ShardedEngine, "ProcessShardedEngine"]
         if router is not None and self._config.shard_mode == "process":
             if worker_source is None:
                 raise QueryError(
@@ -170,34 +182,35 @@ class Session:
             # this module is imported while repro.api initialises
             from repro.serving.engine import ProcessShardedEngine
 
-            self._shards = ProcessShardedEngine(
+            self._scatter = ProcessShardedEngine(
                 router,
                 worker_source,
                 self._config.engine_options(),
                 rpc_timeout=self._config.rpc_timeout,
                 worker_restarts=self._config.worker_restarts,
             )
-        elif router is not None:
-            if worker_source is not None:
-                raise QueryError(
-                    'worker_source only applies to shard_mode="process"'
-                )
-            self._shards = ShardedEngine(router, self._config.engine_options())
         elif worker_source is not None:
             raise QueryError(
-                "worker_source needs a sharded session (pass a router or "
-                "config.shards > 1)"
+                'worker_source only applies to a sharded session with '
+                'shard_mode="process"'
             )
-        #: derived answer-set views per shared (union) graph, so batches
-        #: re-served from the query cache also reuse their derived
-        #: graphs — and therefore the compile cache
-        self._derived: "weakref.WeakKeyDictionary[QueryGraph, Dict[Tuple[str, ...], QueryGraph]]" = (
-            weakref.WeakKeyDictionary()
+        else:
+            self._scatter = ShardedEngine(
+                router or ShardRouter([self._mediator], HashPartitioner(1)),
+                self._config.engine_options(),
+            )
+        self._engine = (
+            self._config.make_engine(self._mediator)
+            if router is not None
+            else self._scatter.engines[0]  # type: ignore[union-attr]
         )
-        # weakref containers are not thread-safe; execute_many's pool
-        # workers probe/populate the derived-view cache concurrently
-        self._derived_lock = threading.Lock()
-        # the execute_many batch pool: created lazily on the first
+        #: wraps a gathered spec: unsharded results keep the whole graph
+        self._result: Callable[..., ResultSet] = (
+            _whole_graph_result
+            if router is None
+            else partial(ShardedResultSet, engine=self._scatter)
+        )
+        # the execute_many spec-group pool: created lazily on the first
         # parallel batch, reused across calls, reaped by close()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -218,15 +231,16 @@ class Session:
 
     @property
     def engine(self) -> RankingEngine:
-        """The single serving engine (unsharded sessions), also used by
-        :meth:`rank`/:meth:`rank_many` on pre-built graphs. Sharded
-        execution runs through :attr:`sharded_engine` instead."""
+        """The engine over the session's own mediator, used by
+        :meth:`rank`/:meth:`rank_many` on pre-built graphs. It is an
+        unsharded session's one shard, so they share the execution
+        caches."""
         return self._engine
 
     @property
     def sharded(self) -> bool:
         """Whether mediated execution scatters across shards."""
-        return self._shards is not None
+        return self._router is not None
 
     @property
     def router(self) -> Optional[ShardRouter]:
@@ -236,13 +250,13 @@ class Session:
     def sharded_engine(self) -> Optional[ShardedEngine]:
         """The thread-mode scatter/gather engine (``None`` unless the
         session is sharded with ``shard_mode="thread"``)."""
-        return self._shards if self._config.shard_mode == "thread" else None  # type: ignore[return-value]
+        return self._scatter if self.sharded and self._scatter.mode == "thread" else None  # type: ignore[return-value]
 
     @property
     def process_engine(self) -> Optional["ProcessShardedEngine"]:
         """The process-mode scatter/gather engine (``None`` unless the
         session was opened with ``shard_mode="process"``)."""
-        return self._shards if self._config.shard_mode == "process" else None  # type: ignore[return-value]
+        return self._scatter if self._scatter.mode == "process" else None  # type: ignore[return-value]
 
     @property
     def admission(self) -> Optional["AdmissionGate"]:
@@ -273,13 +287,13 @@ class Session:
     def register(self, *sources: DataSource) -> "Session":
         """Register additional data sources (chainable).
 
-        On a sharded session the source is registered with the base
-        mediator *and* replicated into every shard mediator — execution
-        runs against the shards, and a replicated (unpartitioned)
-        source keeps every answer's ancestor closure shard-complete,
-        so the equivalence guarantee is preserved. A source that would
-        hang a new outgoing relationship off a *partitioned* entity set
-        is rejected up front (it would break that guarantee).
+        The source is registered with the session's mediator *and*
+        replicated into every other shard mediator — execution runs
+        against the shards, and a replicated (unpartitioned) source
+        keeps every answer's ancestor closure shard-complete, so the
+        equivalence guarantee is preserved. A source that would hang a
+        new outgoing relationship off a *partitioned* entity set is
+        rejected up front (it would break that guarantee).
         """
         self._check_open()
         if self.process_engine is not None:
@@ -289,13 +303,13 @@ class Session:
                 "rebuild from the worker-source recipe; regenerate the "
                 "workload (or recipe) with the new source instead"
             )
-        if self._router is not None:
-            for source in sources:
-                self._router.check_registrable(source)
+        router = self._scatter.router
+        for source in sources:
+            router.check_registrable(source)
         for source in sources:
             self._mediator.register(source)
-            if self._router is not None:
-                for shard_mediator in self._router.mediators:
+            for shard_mediator in router.mediators:
+                if shard_mediator is not self._mediator:
                     shard_mediator.register(source)
         return self
 
@@ -341,12 +355,7 @@ class Session:
         """
         self._check_open()
         spec = self._coerce(spec)
-        if self._shards is not None:
-            return self._execute_sharded(spec)
-        qg = self._engine.execute(
-            spec.to_exploratory(), builder=self._config.builder
-        )
-        return self._rank_graph(qg, spec)
+        return self._result(self._scatter.gather(spec), spec=spec)
 
     def try_cached(self, spec: SpecLike) -> Optional[ResultSet]:
         """Serve ``spec`` entirely from the engine caches, or report
@@ -356,36 +365,12 @@ class Session:
         request is a few dictionary probes, cheap enough to answer on
         the event loop instead of paying an executor round trip. The
         result is bit-identical to :meth:`execute` (same cached scores,
-        same graph). Sharded sessions always report ``None`` — their
-        caches live in the shard engines (or worker processes)."""
+        same graph). Process-sharded sessions always report ``None`` —
+        their caches live in the worker processes."""
         self._check_open()
         spec = self._coerce(spec)
-        if self._shards is not None:
-            return None
-        served = self._engine.serve_cached(
-            spec.to_exploratory(),
-            spec.method,
-            builder=self._config.builder,
-            **spec.options.to_kwargs(spec.method, spec.seed),
-        )
-        if served is None:
-            return None
-        qg, ranked = served
-        return ResultSet(ranked, qg, spec=spec)
-
-    def _execute_sharded(
-        self, spec: QuerySpec, max_workers: Optional[int] = None
-    ) -> ResultSet:
-        """Scatter/gather execution of one coerced spec (thread- or
-        process-mode, whichever the session was opened with).
-
-        ``max_workers=None`` scatters as wide as the relevant shard
-        count on the engine's persistent pool — scatter width is the
-        point of sharding, so the session does not clamp it to
-        ``config.max_workers`` (which governs ``execute_many``'s
-        spec-level batching)."""
-        gathered = self._shards.gather(spec, max_workers=max_workers)  # type: ignore[union-attr]
-        return ShardedResultSet(gathered, self._shards, spec=spec)
+        gathered = self._scatter.serve_cached(spec)
+        return None if gathered is None else self._result(gathered, spec=spec)
 
     def execute_many(
         self,
@@ -398,16 +383,9 @@ class Session:
         Batching beats a loop of :meth:`execute` three ways: identical
         specs are answered once, specs sharing a traversal (same entity
         set / attribute / value) share a single graph materialisation
-        regardless of their output sets, and distinct traversal groups
-        run on a thread pool of ``max_workers`` threads (default: the
-        session config's ``max_workers``).
-
-        On a **sharded** session the parallelism axis is the shards,
-        not the specs: unique specs run in sequence and each scatters
-        across its relevant shards on the engine's persistent pool —
-        as wide as the shard count by default, which is the point of
-        sharding; ``config.max_workers`` does not bound it. Pass
-        ``max_workers`` explicitly to cap the per-spec scatter width.
+        per shard regardless of their output sets, and distinct
+        traversal groups run on a thread pool of ``max_workers`` threads
+        (default: the session config's ``max_workers``).
 
         Results come back in spec order. With ``return_errors=True`` a
         failing spec yields its exception in place instead of raising.
@@ -431,51 +409,32 @@ class Session:
         for index, spec in enumerate(coerced):
             slots.setdefault(spec, []).append(index)
 
-        if self._shards is not None:
-            # sharded batches parallelise across *shards* per spec (the
-            # scatter pool); specs run in sequence, deduplicated, with
-            # the same result-order and error semantics as below.
-            # ``max_workers`` bounds the scatter width of each spec.
-            for spec, indexes in slots.items():
-                try:
-                    outcome: Union[ResultSet, ReproError] = self._execute_sharded(
-                        spec, max_workers=max_workers
-                    )
-                except ReproError as exc:
-                    outcome = exc
-                for index in indexes:
-                    results[index] = outcome
-            if not return_errors:
-                for outcome in results:
-                    if isinstance(outcome, BaseException):
-                        raise outcome
-            return results  # type: ignore[return-value]
-
         # specs sharing a traversal share one materialised graph
         groups: Dict[Tuple, List[QuerySpec]] = {}
         for spec in slots:
             groups.setdefault(spec.traversal_signature, []).append(spec)
         group_list = list(groups.values())
 
+        run = self._scatter.gather_group
         workers = self._config.max_workers if max_workers is None else max_workers
         if workers > 1 and len(group_list) > 1:
             if workers == self._config.max_workers:
                 # the session's persistent pool — hoisted out of the
                 # call so repeated batches stop paying thread
                 # spawn/teardown on every invocation
-                group_results = list(
-                    self._executor().map(self._run_group, group_list)
-                )
+                group_results = list(self._executor().map(run, group_list))
             else:
                 # an explicit non-default width gets a transient pool
                 # of exactly that size
                 with ThreadPoolExecutor(max_workers=workers) as pool:
-                    group_results = list(pool.map(self._run_group, group_list))
+                    group_results = list(pool.map(run, group_list))
         else:
-            group_results = [self._run_group(group) for group in group_list]
+            group_results = [run(group) for group in group_list]
 
-        for group_result in group_results:
-            for spec, outcome in group_result:
+        for group, gathered in zip(group_list, group_results):
+            for spec, outcome in zip(group, gathered):
+                if isinstance(outcome, GatherResult):
+                    outcome = self._result(outcome, spec=spec)
                 for index in slots[spec]:
                     results[index] = outcome
         if not return_errors:
@@ -485,8 +444,8 @@ class Session:
         return results  # type: ignore[return-value]
 
     def _executor(self) -> ThreadPoolExecutor:
-        """The session's persistent batch pool (lazily created, sized
-        ``config.max_workers``, reaped by :meth:`close`)."""
+        """The session's persistent spec-group pool (lazily created,
+        sized ``config.max_workers``, reaped by :meth:`close`)."""
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
@@ -494,62 +453,6 @@ class Session:
                     thread_name_prefix="repro-batch",
                 )
             return self._pool
-
-    def _run_group(
-        self, group: Sequence[QuerySpec]
-    ) -> List[Tuple[QuerySpec, Union[ResultSet, ReproError]]]:
-        """Execute the specs of one traversal group over one shared
-        graph materialisation."""
-        union_outputs = sorted(set().union(*(spec.outputs for spec in group)))
-        base = group[0]
-        try:
-            union_qg = self._engine.execute(
-                ExploratoryQuery(
-                    base.entity_set, base.attribute, base.value, union_outputs
-                ),
-                builder=self._config.builder,
-            )
-        except ReproError:
-            # the union failed (e.g. no answers in *any* requested
-            # set); fall back to direct execution so every spec gets
-            # exactly the error (or result) execute() would give it
-            outcomes = []
-            for spec in group:
-                try:
-                    outcomes.append((spec, self.execute(spec)))
-                except ReproError as exc:
-                    outcomes.append((spec, exc))
-            return outcomes
-        outcomes: List[Tuple[QuerySpec, Union[ResultSet, ReproError]]] = []
-        for spec in group:
-            try:
-                qg = self._graph_for(spec, union_qg, union_outputs)
-                outcomes.append((spec, self._rank_graph(qg, spec)))
-            except ReproError as exc:
-                outcomes.append((spec, exc))
-        return outcomes
-
-    def _graph_for(
-        self,
-        spec: QuerySpec,
-        union_qg: QueryGraph,
-        union_outputs: Sequence[str],
-    ) -> QueryGraph:
-        """The spec's answer-set view of a shared traversal graph."""
-        if set(spec.outputs) == set(union_outputs):
-            return union_qg
-        with self._derived_lock:
-            views = self._derived.setdefault(union_qg, {})
-            cached = views.get(spec.outputs)
-        if cached is not None:
-            return cached
-        # the same filter (and the same empty-answer QueryError) as
-        # direct execution, so batching and execute() fail identically
-        answers = select_answers(union_qg.graph, union_qg.targets, spec.outputs)
-        derived = QueryGraph(union_qg.graph, union_qg.source, answers)
-        with self._derived_lock:
-            derived = views.setdefault(spec.outputs, derived)
-        return derived
 
     # -------------------------------------------------------------- #
     # ranking pre-built graphs
@@ -584,12 +487,6 @@ class Session:
         self._check_open()
         return self._engine.rank_many(targets, **kwargs)
 
-    def _rank_graph(self, qg: QueryGraph, spec: QuerySpec) -> ResultSet:
-        ranked = self._engine.rank(
-            qg, spec.method, **spec.options.to_kwargs(spec.method, spec.seed)
-        )
-        return ResultSet(ranked, qg, spec=spec)
-
     # -------------------------------------------------------------- #
     # introspection
     # -------------------------------------------------------------- #
@@ -611,53 +508,21 @@ class Session:
         """
         self._check_open()
         spec = self._coerce(spec)
-        if self._shards is not None:
-            gathered = self._shards.gather(spec)
-            # node/edge totals are summed across the shard graphs
-            # (replicated ancestors count once per shard); there is no
-            # single compiled graph, hence no fingerprint
-            return Explanation(
-                spec=spec,
-                graph_cached=gathered.graph_cached,
-                score_cached=gathered.score_cached,
-                builder=self._config.builder,
-                backend=self._config.backend,
-                nodes=gathered.nodes,
-                edges=gathered.edges,
-                answers=len(gathered.scores),
-                build_stats=gathered.build_stats,
-                fingerprint=None,
-                build_seconds=gathered.build_seconds,
-                rank_seconds=gathered.rank_seconds,
-                engine_stats=self._shards.stats_snapshot().as_dict(),
-            )
-        started = time.perf_counter()
-        qg, build_stats, graph_cached = self._engine.execute_with_stats(
-            spec.to_exploratory(), builder=self._config.builder
-        )
-        build_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        _, score_cached = self._engine.rank_with_stats(
-            qg, spec.method, **spec.options.to_kwargs(spec.method, spec.seed)
-        )
-        rank_seconds = time.perf_counter() - started
-        # report the fingerprint only if ranking (now or earlier)
-        # actually compiled this graph — never force a compilation
-        fingerprint = self._engine.cached_fingerprint(qg)
+        gathered = self._scatter.gather(spec)
         return Explanation(
             spec=spec,
-            graph_cached=graph_cached,
-            score_cached=score_cached,
+            graph_cached=gathered.graph_cached,
+            score_cached=gathered.score_cached,
             builder=self._config.builder,
             backend=self._config.backend,
-            nodes=qg.graph.num_nodes,
-            edges=qg.graph.num_edges,
-            answers=len(qg.targets),
-            build_stats=build_stats,
-            fingerprint=fingerprint,
-            build_seconds=build_seconds,
-            rank_seconds=rank_seconds,
-            engine_stats=self._engine.stats_snapshot().as_dict(),
+            nodes=gathered.nodes,
+            edges=gathered.edges,
+            answers=len(gathered.scores),
+            build_stats=gathered.build_stats,
+            fingerprint=gathered.fingerprint,
+            build_seconds=gathered.build_seconds,
+            rank_seconds=gathered.rank_seconds,
+            engine_stats=self.stats_snapshot().as_dict(),
         )
 
     def lint(
@@ -688,26 +553,21 @@ class Session:
         return run_analysis(context, select=select, suppressions=suppressions)
 
     def stats(self) -> EngineStats:
-        """The engine's cumulative cache-effectiveness counters (live
-        object; use :meth:`stats_snapshot` for before/after deltas).
-        On a sharded session this is the aggregated snapshot over every
-        child engine; per-shard counters are on :meth:`shard_stats`."""
-        if self._shards is not None:
-            return self._merge_serving_counters(self._shards.stats_snapshot())
-        return self._engine.stats
+        """The cumulative cache-effectiveness counters, summed over the
+        shards (a fresh snapshot); per-shard counters are on
+        :meth:`shard_stats`."""
+        return self.stats_snapshot()
 
     def stats_snapshot(self) -> EngineStats:
-        """A lock-consistent copy of the counters (aggregated over the
-        shards when sharded)."""
-        if self._shards is not None:
-            return self._merge_serving_counters(self._shards.stats_snapshot())
-        return self._engine.stats_snapshot()
+        """A lock-consistent copy of the counters.
 
-    def _merge_serving_counters(self, aggregate: EngineStats) -> EngineStats:
-        """Session-level admission and coalescing are recorded on the
-        *local* engine even when execution scatters across shards; fold
-        those counters into the shard aggregate so the serving surface
-        reports them in one place."""
+        Session-level admission and coalescing are recorded on the
+        *local* engine; they are folded into the shard aggregate so the
+        serving surface reports them in one place (an unsharded
+        session's local engine is its one shard: already summed)."""
+        aggregate = self._scatter.stats_snapshot()
+        if self._router is None:
+            return aggregate
         local = self._engine.stats_snapshot()
         aggregate.coalesced_queries += local.coalesced_queries
         aggregate.queued_queries += local.queued_queries
@@ -716,12 +576,11 @@ class Session:
 
     def shard_stats(self) -> List[EngineStats]:
         """Per-shard counter snapshots (empty when unsharded)."""
-        return [] if self._shards is None else self._shards.shard_stats()
+        return self._scatter.shard_stats() if self.sharded else []
 
     def reset_stats(self) -> None:
         self._engine.reset_stats()
-        if self._shards is not None:
-            self._shards.reset_stats()
+        self._scatter.reset_stats()
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -744,8 +603,7 @@ class Session:
                     pool, self._pool = self._pool, None
                 if pool is not None:
                     pool.shutdown(wait=True)
-                if self._shards is not None:
-                    self._shards.close()
+                self._scatter.close()
 
     @property
     def closed(self) -> bool:
@@ -759,13 +617,11 @@ class Session:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        shards = ""
-        if self._shards is not None:
-            shards = f" shards={self._shards.shards} ({self._config.shard_mode})"
         return (
             f"<Session {state} sources={len(self._mediator.sources)} "
             f"backend={self._config.backend!r} "
-            f"builder={self._config.builder!r}{shards}>"
+            f"builder={self._config.builder!r} "
+            f"shards={self._scatter.shards} ({self._scatter.mode})>"
         )
 
     # -------------------------------------------------------------- #

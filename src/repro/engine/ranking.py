@@ -48,7 +48,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,6 +233,19 @@ def _consumes_ir(method: str, options: Mapping[str, object]) -> bool:
     return not _samples_reduced(method, options)
 
 
+def _read_changes(
+    changes: Mapping[Table, ChangeSet], probe_cache: Optional[ProbeCache]
+) -> Dict[Table, ChangeSet]:
+    """The changes a cached build must answer for: the non-empty change
+    sets of the tables it read (every changed table when the build
+    recorded no probe cache). Net no-op windows, such as an insert
+    coalesced away by its delete, are clean too."""
+    if probe_cache is None:
+        return {t: cs for t, cs in changes.items() if cs}
+    deps = probe_cache.dep_tables()
+    return {t: cs for t, cs in changes.items() if id(t) in deps and cs}
+
+
 def _freeze_option(value: object) -> Optional[object]:
     """A hashable cache token for one option value, or ``None`` when the
     value makes the request uncacheable (mutable/stateful arguments)."""
@@ -375,16 +388,7 @@ class RankingEngine:
                 else None
             )
             if changes is not None:
-                if probe_cache is not None:
-                    # scope invalidation to the tables the cached build
-                    # actually read; net no-op windows (e.g. an insert
-                    # coalesced away by its delete) are clean too
-                    deps = probe_cache.dep_tables()
-                    relevant = {
-                        t: cs for t, cs in changes.items() if id(t) in deps and cs
-                    }
-                else:
-                    relevant = {t: cs for t, cs in changes.items() if cs}
+                relevant = _read_changes(changes, probe_cache)
                 if not relevant:
                     with self._lock:
                         if self._graphs.get(key) is cached:
@@ -462,17 +466,19 @@ class RankingEngine:
         builder: Optional[str] = None,
         backend: Optional[str] = None,
         **options: object,
-    ) -> Optional[Tuple[QueryGraph, "RankedResult"]]:
-        """Serve ``query`` + ``method`` entirely from the caches, or
-        report ``None`` without doing any work.
+    ) -> Optional[Callable[[], Tuple[QueryGraph, RankedResult]]]:
+        """How to serve ``query`` + ``method`` entirely from the caches,
+        or ``None`` without doing any work.
 
         This is the probe behind the async session's inline fast path:
         a fully cache-resident request costs a few dictionary probes,
         which is cheap enough to answer on the event loop instead of
-        paying an executor round trip. The probe only *counts* (one
-        ``graph_hit`` + one ``score_hit``) when it fully serves the
-        request — a ``None`` outcome leaves every counter untouched for
-        the ordinary path to account.
+        paying an executor round trip. Finding counts nothing; calling
+        the returned function serves the graph and its ranking and
+        counts one ``graph_hit`` + one ``score_hit``. A ``None`` outcome
+        leaves every counter untouched for the ordinary path to account,
+        and a scatter takes its shards' hits only once every relevant
+        shard has one, so a partial hit counts nowhere.
         """
         if (
             self.mediator is None
@@ -491,43 +497,39 @@ class RankingEngine:
         if entry_mediator is not mediator:
             return None
         changes = mediator.changes_since(entry_snapshot)
-        if changes is None:
-            return None
-        if probe_cache is not None:
-            deps = probe_cache.dep_tables()
-            relevant = {
-                t: cs for t, cs in changes.items() if id(t) in deps and cs
-            }
-        else:
-            relevant = {t: cs for t, cs in changes.items() if cs}
-        if relevant:
+        if changes is None or _read_changes(changes, probe_cache):
             return None  # repair or rebuild territory: not a fast path
         canonical = resolve_method(method)
-        chosen_backend = backend or self.backend
         with self._lock:
             compiled = self._compiled.get(qg)
         if compiled is None:
             return None  # never compiled: scoring would be real work
         score_key = self._cache_key(
-            compiled.fingerprint, canonical, chosen_backend, options
+            compiled.fingerprint, canonical, backend or self.backend, options
         )
         if score_key is None:
             return None
         with self._lock:
             entry = self._scores.get(score_key)
-            if entry is None:
-                return None
-            self._scores.move_to_end(score_key)
-            self.stats.score_hits += 1
-            self.stats.graph_hits += 1
-            if self._graphs.get(key) is cached:
-                # same snapshot refresh as the ordinary hit path, so
-                # future probes diff the shortest change window
-                self._graphs[key] = (
-                    mediator, snapshot, qg, build_stats, probe_cache
-                )
-                self._graphs.move_to_end(key)
-        return qg, RankedResult(method=canonical, scores=_unpack_scores(entry))
+        if entry is None:
+            return None
+
+        def take() -> Tuple[QueryGraph, RankedResult]:
+            with self._lock:
+                if score_key in self._scores:
+                    self._scores.move_to_end(score_key)
+                self.stats.score_hits += 1
+                self.stats.graph_hits += 1
+                if self._graphs.get(key) is cached:
+                    # same snapshot refresh as the ordinary hit path, so
+                    # future probes diff the shortest change window
+                    self._graphs[key] = (
+                        mediator, snapshot, qg, build_stats, probe_cache
+                    )
+                    self._graphs.move_to_end(key)
+            return qg, RankedResult(method=canonical, scores=_unpack_scores(entry))
+
+        return take
 
     def _repair(
         self,

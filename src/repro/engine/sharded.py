@@ -1,11 +1,12 @@
-"""Sharded scatter/gather execution over N child ranking engines.
+"""Scatter/gather execution over N child ranking engines — the one
+execution path of every session.
 
 One :class:`~repro.engine.ranking.RankingEngine` holds its compiled
-graphs and query cache in one heap. To serve graphs too large for one
-process, a :class:`ShardedEngine` partitions the answer space across N
-child engines — each wrapping a mediator view over its partition's
-storage (see :mod:`repro.integration.partition`) — and executes every
-query scatter/gather:
+graphs and query cache in one heap. A :class:`ShardedEngine` partitions
+the answer space across N child engines — each wrapping a mediator view
+over its partition's storage (see :mod:`repro.integration.partition`);
+an unsharded session is N = 1, one shard owning every answer over the
+session's own mediator — and executes every query scatter/gather:
 
 1. **route** — :meth:`ShardRouter.relevant_shards` picks the shards a
    query can touch (a point lookup on a partitioned set's key column
@@ -23,7 +24,8 @@ The process-sharded engine (:mod:`repro.serving.engine`) is the
 sibling of :class:`ShardedEngine` over the same :class:`ShardScatter`
 base: its workers call the same :func:`score_fragment`, and the
 supervisor decodes their replies into the same :class:`ShardFragment`
-for the same :func:`merge_fragments`.
+for the same :func:`merge_fragments`. Only thread shards build a
+batch's shared traversal once and answer cache-only probes.
 
 Equivalence rests on the ancestor-closure rule enforced by
 :func:`repro.integration.partition.partition_mediator`: only traversal
@@ -47,9 +49,12 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+import weakref
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -61,6 +66,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:
@@ -68,7 +74,7 @@ if TYPE_CHECKING:
 
 from repro.core.graph import QueryGraph
 from repro.engine.ranking import EngineStats, RankingEngine
-from repro.errors import EmptyAnswerError, QueryError, RankingError, SchemaError
+from repro.errors import EmptyAnswerError, QueryError, RankingError, ReproError, SchemaError
 from repro.integration.builder import BuildStats, NodePayload
 from repro.integration.mediator import Mediator
 from repro.integration.partition import (
@@ -77,7 +83,7 @@ from repro.integration.partition import (
     sink_entity_sets,
     source_partition_message,
 )
-from repro.integration.query import ExploratoryQuery
+from repro.integration.query import ExploratoryQuery, select_answers
 
 __all__ = [
     "GatherResult",
@@ -263,10 +269,10 @@ class ShardRouter:
         if message:
             raise SchemaError(message)
 
-    def relevant_shards(self, query: ExploratoryQuery) -> List[int]:
-        """The shards ``query`` must be scattered to. A point lookup on
-        a partitioned set's key column touches exactly its owner; any
-        other query fans out to every shard."""
+    def relevant_shards(self, query: Union[ExploratoryQuery, "QuerySpec"]) -> List[int]:
+        """The shards ``query`` (or a spec) must be scattered to. A point
+        lookup on a partitioned set's key column touches exactly its
+        owner; any other query fans out to every shard."""
         key_column = self.partitioned_sets.get(query.entity_set)
         if key_column is not None and query.attribute == key_column:
             return [self.owner(query.entity_set, query.value)]
@@ -338,7 +344,8 @@ class ShardFragment:
     shard: int
     #: owned answers only — disjoint across fragments by construction
     scores: Dict[NodeId, float] = field(default_factory=dict)
-    #: the owned answers' node payloads (entity set, key, label)
+    #: the owned answers' node payloads (entity set, key, label), as an
+    #: RPC record ships them; in-process fragments read their graph
     payloads: Dict[NodeId, NodePayload] = field(default_factory=dict)
     build_stats: Optional[BuildStats] = None
     graph_cached: bool = False
@@ -349,39 +356,107 @@ class ShardFragment:
     empty: Optional[EmptyAnswerError] = None
     #: the shard's query graph when it lives in this process
     graph: Optional[QueryGraph] = None
+    #: the shard owns every answer: its graph is the whole query graph
+    whole: bool = False
+    #: the whole query graph's compiled fingerprint, once compiled
+    fingerprint: Optional[str] = None
+
+    def payload(self, node: NodeId) -> NodePayload:
+        """The payload of an owned answer."""
+        if self.graph is not None:
+            return self.graph.graph.data(node)
+        return self.payloads[node]
 
 
 @dataclass
 class GatherResult:
     """A merged scatter/gather execution: the union of the owned
-    fragments plus aggregated build statistics."""
+    fragments' scores, with everything else read off the fragments
+    when asked for."""
 
     method: str
-    #: merged node -> score of the disjoint owned fragments
+    #: merged node -> score of the disjoint owned fragments (a lone
+    #: populated fragment's dict, adopted as is)
     scores: Dict[NodeId, float]
-    #: node -> payload shipped by its owning shard
-    payloads: Dict[NodeId, NodePayload]
-    #: node -> index of the shard that owns (and can explain) it
-    owner_shards: Dict[NodeId, int]
-    #: shard -> its query graph, for shards that live in this process
-    #: (empty when the graphs live in worker processes)
-    graphs: Dict[int, QueryGraph]
-    #: per-shard BuildStats summed (replicated intermediate layers are
-    #: counted once per shard that materialised them)
-    build_stats: BuildStats
-    #: True only if *every* populated shard was served from its cache
-    graph_cached: bool
-    score_cached: bool
-    build_seconds: float
-    rank_seconds: float
+    #: every relevant shard's fragment, empty partitions included
+    fragments: List[ShardFragment]
+
+    @property
+    def populated(self) -> List[ShardFragment]:
+        return [f for f in self.fragments if f.empty is None]
+
+    @cached_property
+    def owner_shards(self) -> Dict[NodeId, int]:
+        """node -> index of the shard that owns (and can explain) it."""
+        return {node: f.shard for f in self.populated for node in f.scores}
+
+    @cached_property
+    def graphs(self) -> Dict[int, QueryGraph]:
+        """shard -> its query graph, for shards that live in this
+        process (empty when the graphs live in worker processes)."""
+        return {f.shard: f.graph for f in self.populated if f.graph is not None}
+
+    @property
+    def whole(self) -> Optional[QueryGraph]:
+        """The one whole query graph, when a single in-process shard
+        owning every answer produced the result."""
+        populated = self.populated
+        return populated[0].graph if len(populated) == 1 and populated[0].whole else None
+
+    @property
+    def fingerprint(self) -> Optional[str]:
+        """The whole query graph's compiled fingerprint, once compiled."""
+        return self.populated[0].fingerprint if self.whole is not None else None
+
+    @cached_property
+    def build_stats(self) -> BuildStats:
+        """Per-shard BuildStats summed (replicated intermediate layers
+        are counted once per shard that materialised them)."""
+        return aggregate_build_stats(
+            [f.build_stats for f in self.populated if f.build_stats is not None]
+        )
+
+    @property
+    def graph_cached(self) -> bool:
+        """True only if *every* populated shard was served from its cache."""
+        return all(f.graph_cached for f in self.populated)
+
+    @property
+    def score_cached(self) -> bool:
+        return all(f.score_cached for f in self.populated)
+
+    @property
+    def build_seconds(self) -> float:
+        return max(f.build_seconds for f in self.fragments)
+
+    @property
+    def rank_seconds(self) -> float:
+        return max(f.rank_seconds for f in self.fragments)
 
     @property
     def nodes(self) -> int:
-        return self.build_stats.nodes
+        """The whole query graph's node count, else the summed shard
+        build statistics."""
+        whole = self.whole
+        return whole.graph.num_nodes if whole is not None else self.build_stats.nodes
 
     @property
     def edges(self) -> int:
-        return self.build_stats.edges
+        whole = self.whole
+        return whole.graph.num_edges if whole is not None else self.build_stats.edges
+
+    @cached_property
+    def _by_shard(self) -> Dict[int, ShardFragment]:
+        return {f.shard: f for f in self.fragments}
+
+    def payload(self, node: NodeId) -> NodePayload:
+        """The payload of an answer, from the fragment that owns it."""
+        return self._by_shard[self.owner_shards[node]].payload(node)
+
+    @property
+    def payloads(self) -> Dict[NodeId, NodePayload]:
+        """node -> payload of every answer."""
+        return {node: self.payload(node) for node in self.scores}
 
 
 def aggregate_build_stats(parts: Sequence[BuildStats]) -> BuildStats:
@@ -408,35 +483,60 @@ def score_fragment(
     :func:`merge_fragments`."""
     started = time.perf_counter()
     try:
-        qg, build_stats, graph_cached = engine.execute_with_stats(
-            spec.to_exploratory()
-        )
+        built = engine.execute_with_stats(spec.to_exploratory())
     except EmptyAnswerError as exc:
         return ShardFragment(
             shard, build_seconds=time.perf_counter() - started, empty=exc
         )
-    build_seconds = time.perf_counter() - started
+    return _ranked_fragment(
+        engine, router, shard, spec, built, time.perf_counter() - started
+    )
+
+
+def _ranked_fragment(
+    engine: RankingEngine,
+    router: ShardRouter,
+    shard: int,
+    spec: "QuerySpec",
+    built: Tuple[QueryGraph, BuildStats, bool],
+    build_seconds: float,
+) -> ShardFragment:
+    """Rank ``spec`` on a shard's built query graph, keeping the owned
+    answers."""
+    qg, build_stats, graph_cached = built
     started = time.perf_counter()
     ranked, score_cached = engine.rank_with_stats(
         qg, spec.method, **spec.options.to_kwargs(spec.method, spec.seed)
     )
-    rank_seconds = time.perf_counter() - started
+    fragment = _owned(engine, router, shard, qg, ranked.scores)
+    fragment.build_stats, fragment.build_seconds = build_stats, build_seconds
+    fragment.graph_cached, fragment.score_cached = graph_cached, score_cached
+    fragment.rank_seconds = time.perf_counter() - started
+    return fragment
+
+
+def _owned(
+    engine: RankingEngine,
+    router: ShardRouter,
+    shard: int,
+    qg: QueryGraph,
+    scores: Dict[NodeId, float],
+) -> ShardFragment:
+    """The fragment of ``qg``'s ranked answers that ``shard`` owns. The
+    shard of a one-shard router owns them all: it adopts the fresh score
+    dict without an ownership probe and reports the whole graph."""
+    if router.shards == 1:
+        return ShardFragment(
+            shard, scores, graph=qg, whole=True,
+            fingerprint=engine.cached_fingerprint(qg),
+        )
+    fragment = ShardFragment(shard, graph=qg)
     owner = router.owner
     data = qg.graph.data
-    fragment = ShardFragment(
-        shard,
-        build_stats=build_stats,
-        graph_cached=graph_cached,
-        score_cached=score_cached,
-        build_seconds=build_seconds,
-        rank_seconds=rank_seconds,
-        graph=qg,
-    )
     for node in qg.targets:
         payload = data(node)
         if owner(payload.entity_set, payload.key) == shard:
-            fragment.scores[node] = ranked.scores[node]
-            fragment.payloads[node] = payload
+            fragment.scores[node] = scores[node]
     return fragment
 
 
@@ -485,23 +585,18 @@ def merge_fragments(
             f"{first_error}"
         ) from first_error
 
-    scores: Dict[NodeId, float] = {}
-    payloads: Dict[NodeId, NodePayload] = {}
-    owner_shards: Dict[NodeId, int] = {}
-    graphs: Dict[int, QueryGraph] = {}
     populated = [f for f in fragments if f.empty is None]
-    for fragment in populated:
-        for node, score in fragment.scores.items():
-            if node in owner_shards:
-                raise RankingError(
-                    f"answer {node!r} gathered from two shards; the "
-                    f"partitioner is not a partition"
-                )
-            scores[node] = score
-            owner_shards[node] = fragment.shard
-        payloads.update(fragment.payloads)
-        if fragment.graph is not None:
-            graphs[fragment.shard] = fragment.graph
+    if len(populated) == 1:
+        scores = populated[0].scores  # the whole answer: adopted, not copied
+    else:
+        scores = {}
+        for fragment in populated:
+            scores.update(fragment.scores)
+        if len(scores) < sum(len(f.scores) for f in populated):
+            raise RankingError(
+                "an answer was gathered from two shards; the partitioner "
+                "is not a partition"
+            )
     if not scores:
         empties = [f.empty for f in fragments if f.empty is not None]
         if not empties:  # unreachable unless ownership is broken
@@ -510,27 +605,18 @@ def merge_fragments(
         # single engine would have produced — the one whose execution
         # got furthest
         raise max(empties, key=lambda exc: _EMPTY_PRIORITY[exc.kind])
-
-    return GatherResult(
-        method=method,
-        scores=scores,
-        payloads=payloads,
-        owner_shards=owner_shards,
-        graphs=graphs,
-        build_stats=aggregate_build_stats(
-            [f.build_stats for f in populated if f.build_stats is not None]
-        ),
-        graph_cached=all(f.graph_cached for f in populated),
-        score_cached=all(f.score_cached for f in populated),
-        build_seconds=max(f.build_seconds for f in fragments),
-        rank_seconds=max(f.rank_seconds for f in fragments),
-    )
+    return GatherResult(method, scores, fragments)
 
 
 class ShardScatter:
     """The scatter machinery both shard modes share: the relevant-shard
     routing, a persistent scatter pool, and the hand-off to
-    :func:`merge_fragments`. Each mode supplies how one shard runs."""
+    :func:`merge_fragments`. Each mode supplies how one shard runs a
+    spec (:meth:`_run`), and may run a traversal group more cheaply
+    than spec by spec (:meth:`_run_group`)."""
+
+    #: how the shards run, as a session reports it
+    mode = "thread"
 
     def __init__(self, router: ShardRouter):
         self.router = router
@@ -540,34 +626,57 @@ class ShardScatter:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
-    def _scatter(
-        self,
-        spec: "QuerySpec",
-        run: Callable[[int], Outcome],
-        max_workers: Optional[int],
-    ) -> GatherResult:
-        relevant = self.router.relevant_shards(spec.to_exploratory())
-        workers = len(relevant) if max_workers is None else max_workers
-        if workers >= len(relevant) > 1:
-            outcomes = list(self._scatter_pool().map(run, relevant))
-        elif workers > 1 and len(relevant) > 1:
-            # a narrower-than-shard-count worker budget gets its own
-            # exactly-sized pool (rare configuration, cold path anyway)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run, relevant))
-        else:
-            outcomes = [run(shard) for shard in relevant]
+    def gather(self, spec: "QuerySpec") -> GatherResult:
+        """Scatter ``spec`` to its relevant shards, rank each shard's
+        graph, and merge the owned fragments (see
+        :func:`merge_fragments`)."""
+        relevant = self.router.relevant_shards(spec)
+        outcomes = self._map(self._run, relevant, spec)
         return merge_fragments(spec.method, relevant, outcomes)
+
+    def gather_group(
+        self, specs: Sequence["QuerySpec"]
+    ) -> List[Union[GatherResult, ReproError]]:
+        """Gather specs that share one traversal (same entity set,
+        attribute and value), one result or library error per spec."""
+        relevant = self.router.relevant_shards(specs[0])
+        per_shard = self._map(self._run_group, relevant, specs)
+        gathered: List[Union[GatherResult, ReproError]] = []
+        for index, spec in enumerate(specs):
+            outcomes = [shard_outcomes[index] for shard_outcomes in per_shard]
+            try:
+                gathered.append(merge_fragments(spec.method, relevant, outcomes))
+            except ReproError as exc:
+                gathered.append(exc)
+        return gathered
+
+    def _run(self, shard: int, spec: "QuerySpec") -> Outcome:
+        """One shard's outcome for ``spec``."""
+        raise NotImplementedError
+
+    def _run_group(self, shard: int, specs: Sequence["QuerySpec"]) -> List[Outcome]:
+        """One shard's outcome for each spec of a traversal group."""
+        return [self._run(shard, spec) for spec in specs]
+
+    def _map(self, run: Callable[[int, Any], Any], relevant: List[int], arg: Any) -> List[Any]:
+        """``run(shard, arg)`` for every relevant shard, on the scatter
+        pool when there are several."""
+        self._check_open()
+        if len(relevant) > 1:
+            return list(self._scatter_pool().map(run, relevant, repeat(arg)))
+        return [run(shard, arg) for shard in relevant]
+
+    def serve_cached(self, spec: "QuerySpec") -> Optional[GatherResult]:
+        """Gather ``spec`` from the shard caches alone, or ``None``
+        without executing anything (always ``None`` here)."""
+        return None
 
     def shard_stats(self) -> List[EngineStats]:
         """Per-shard counter snapshots, shard order."""
         raise NotImplementedError
 
-    @property
-    def stats(self) -> EngineStats:
-        """Aggregated cache counters (a fresh snapshot of
-        :meth:`stats_snapshot`)."""
-        return self.stats_snapshot()
+    def _check_open(self) -> None:
+        """Refuse work once closed (thread shards can always work)."""
 
     def stats_snapshot(self) -> EngineStats:
         """The field-wise sum of every shard's counters."""
@@ -610,27 +719,100 @@ class ShardedEngine(ShardScatter):
             RankingEngine(mediator=mediator, **(engine_options or {}))
             for mediator in router.mediators
         ]
+        #: union graph -> its answer-set views (see :meth:`_run_group`),
+        #: weakly keyed so the views live as long as the cached union;
+        #: weakref containers are not thread-safe, hence the lock
+        self._views: "weakref.WeakKeyDictionary[QueryGraph, Dict[Tuple[str, ...], QueryGraph]]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._views_lock = threading.Lock()
 
     @property
     def shards(self) -> int:
         return len(self.engines)
 
-    def gather(
-        self, spec: "QuerySpec", max_workers: Optional[int] = None
-    ) -> GatherResult:
-        """Scatter ``spec`` to its relevant shards, rank each shard's
-        graph, and merge the owned fragments (see
-        :func:`merge_fragments`)."""
+    def _run(self, shard: int, spec: "QuerySpec") -> Outcome:
+        try:
+            return "ok", score_fragment(self.engines[shard], self.router, shard, spec)
+        except Exception as exc:  # classified by merge_fragments
+            return "error", exc
 
-        def run(shard: int) -> Outcome:
+    def _run_group(self, shard: int, specs: Sequence["QuerySpec"]) -> List[Outcome]:
+        """:meth:`_run` for each spec of a group, but building the
+        shared traversal once: output sets only *filter* the answer set,
+        so the union of the group's output sets is built and every spec
+        ranks its own answer-set view of it."""
+        if len(specs) == 1:
+            return [self._run(shard, specs[0])]
+        engine = self.engines[shard]
+        union_outputs = sorted(set().union(*(spec.outputs for spec in specs)))
+        base = specs[0]
+        started = time.perf_counter()
+        try:
+            built = engine.execute_with_stats(ExploratoryQuery(
+                base.entity_set, base.attribute, base.value, union_outputs
+            ))
+        except Exception:
+            # the union failed (e.g. no answers in *any* requested set);
+            # score spec by spec, so each gets the outcome it gets alone
+            return super()._run_group(shard, specs)
+        build_seconds = time.perf_counter() - started
+        outcomes: List[Outcome] = []
+        for spec in specs:
             try:
-                return "ok", score_fragment(
-                    self.engines[shard], self.router, shard, spec
-                )
+                qg = self._view(built[0], union_outputs, spec.outputs)
+                outcomes.append(("ok", _ranked_fragment(
+                    engine, self.router, shard, spec,
+                    (qg, built[1], built[2]), build_seconds,
+                )))
+            except EmptyAnswerError as exc:  # this shard has none of them
+                outcomes.append(("ok", ShardFragment(
+                    shard, build_seconds=build_seconds, empty=exc
+                )))
             except Exception as exc:  # classified by merge_fragments
-                return "error", exc
+                outcomes.append(("error", exc))
+        return outcomes
 
-        return self._scatter(spec, run, max_workers)
+    def _view(
+        self, union: QueryGraph, union_outputs: List[str], outputs: Tuple[str, ...]
+    ) -> QueryGraph:
+        """The ``outputs`` answer-set view of a union graph, kept per
+        live union so a batch served again from the query cache reuses
+        its views — and with them the compile cache."""
+        if set(outputs) == set(union_outputs):
+            return union
+        with self._views_lock:
+            views = self._views.setdefault(union, {})
+            cached = views.get(outputs)
+        if cached is not None:
+            return cached
+        # the same filter (and the same empty-answer error) as direct
+        # execution, so batching and execute() fail identically
+        answers = select_answers(union.graph, union.targets, outputs)
+        derived = QueryGraph(union.graph, union.source, answers)
+        with self._views_lock:
+            return views.setdefault(outputs, derived)
+
+    def serve_cached(self, spec: "QuerySpec") -> Optional[GatherResult]:
+        """Gather ``spec`` from the shard caches alone, or ``None``
+        without executing anything. A hit is taken (and counted) only
+        once every relevant shard has one."""
+        query = spec.to_exploratory()
+        options = spec.options.to_kwargs(spec.method, spec.seed)
+        relevant = self.router.relevant_shards(query)
+        takes = [
+            self.engines[shard].serve_cached(query, spec.method, **options)
+            for shard in relevant
+        ]
+        if any(take is None for take in takes):
+            return None
+        outcomes: List[Outcome] = []
+        for shard, take in zip(relevant, takes):
+            qg, ranked = take()  # type: ignore[misc]
+            fragment = _owned(self.engines[shard], self.router, shard, qg, ranked.scores)
+            fragment.graph_cached = fragment.score_cached = True
+            outcomes.append(("ok", fragment))
+        return merge_fragments(spec.method, relevant, outcomes)
 
     # -------------------------------------------------------------- #
     # stats and lifecycle (aggregated over the children)

@@ -14,7 +14,6 @@ serve repeated queries from the epoch-guarded query cache.
 from __future__ import annotations
 
 import statistics
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -29,7 +28,6 @@ __all__ = [
     "ALL_METHODS",
     "RANK_OPTIONS",
     "MethodScore",
-    "default_engine",
     "default_session",
     "evaluate_scenario_ap",
     "format_table",
@@ -71,17 +69,6 @@ def default_session() -> Session:
     if _SESSION is None:
         _SESSION = Session()
     return _SESSION
-
-
-def default_engine() -> RankingEngine:
-    """Deprecated: the engine behind :func:`default_session`."""
-    warnings.warn(
-        "default_engine() is deprecated; use default_session() (the "
-        "repro.api facade) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return default_session().engine
 
 
 def split_rank_options(

@@ -47,7 +47,7 @@ if TYPE_CHECKING:
 
 from repro.core.paths import EvidencePath
 from repro.engine.ranking import EngineStats
-from repro.engine.sharded import GatherResult, Outcome, ShardRouter, ShardScatter
+from repro.engine.sharded import Outcome, ShardRouter, ShardScatter
 from repro.errors import QueryError, RankingError
 from repro.serving import rpc
 from repro.serving.source import WorkerSource
@@ -323,6 +323,8 @@ class ProcessShardedEngine(ShardScatter):
     workers.
     """
 
+    mode = "process"
+
     def __init__(
         self,
         router: ShardRouter,
@@ -406,26 +408,16 @@ class ProcessShardedEngine(ShardScatter):
     # scatter/gather execution
     # ------------------------------------------------------------ #
 
-    def gather(
-        self, spec: QuerySpec, max_workers: Optional[int] = None
-    ) -> GatherResult:
-        """Scatter ``spec`` to its relevant shard workers and merge the
-        decoded fragments (see :func:`~repro.engine.sharded.merge_fragments`)."""
-        self._check_open()
-        params = {"spec": spec.to_dict()}
-
-        def run(shard: int) -> Outcome:
-            try:
-                record = self._call_supervised(
-                    self.workers[shard], "score_fragment", params
-                )
-                return "ok", rpc.decode_fragment(shard, record)
-            except rpc.RpcRemoteError as exc:
-                return "error", (exc.remote if exc.remote is not None else exc)
-            except QueryError as exc:  # restarts exhausted, or a malformed record
-                return "transport", exc
-
-        return self._scatter(spec, run, max_workers)
+    def _run(self, shard: int, spec: QuerySpec) -> Outcome:
+        try:
+            record = self._call_supervised(
+                self.workers[shard], "score_fragment", {"spec": spec.to_dict()}
+            )
+            return "ok", rpc.decode_fragment(shard, record)
+        except rpc.RpcRemoteError as exc:
+            return "error", (exc.remote if exc.remote is not None else exc)
+        except QueryError as exc:  # restarts exhausted, or a malformed record
+            return "transport", exc
 
     # ------------------------------------------------------------ #
     # answer-level provenance (RPC to the owning shard)

@@ -346,7 +346,7 @@ def encode_fragment(fragment: ShardFragment) -> Dict[str, object]:
     return {
         "status": "ok",
         "owned": encode_fragment_scores([
-            (node, score, str(fragment.payloads[node].label))
+            (node, score, str(fragment.payload(node).label))
             for node, score in fragment.scores.items()
         ]),
         "build_stats": encode_build_stats(fragment.build_stats),  # type: ignore[arg-type]

@@ -53,21 +53,8 @@ def test_top_level_reexports():
 
 
 def test_legacy_surface_still_importable():
-    """The pre-facade call paths keep working (deprecation-shimmed or
-    untouched); removing any of these is a breaking change."""
+    """The pre-facade call paths keep working; removing any of these is
+    a breaking change."""
     from repro import ExploratoryQuery, Mediator, RankingEngine, rank  # noqa: F401
     from repro.engine import EngineStats  # noqa: F401
-    from repro.experiments.runner import default_engine  # noqa: F401
     from repro.integration.query import BUILDERS  # noqa: F401
-
-
-def test_default_engine_warns_but_works():
-    import warnings
-
-    from repro.experiments.runner import default_engine, default_session
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        engine = default_engine()
-    assert any(w.category is DeprecationWarning for w in caught)
-    assert engine is default_session().engine

@@ -451,7 +451,8 @@ class TestPackedScoreCache:
         engine = RankingEngine(mediator=workload.mediator)
         qg = engine.execute(workload.query)
         miss = engine.rank(qg, "propagation")
-        served = engine.serve_cached(workload.query, "propagation")
-        assert served is not None
+        take = engine.serve_cached(workload.query, "propagation")
+        assert take is not None
+        served = take()
         assert served[0] is qg
         assert list(served[1].scores.items()) == list(miss.scores.items())

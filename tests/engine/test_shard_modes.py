@@ -6,16 +6,29 @@ workload, so a behaviour of :class:`~repro.api.ShardedResultSet`, of
 modes shows up as a single failing parameter. The deterministic rankers
 are also pinned against the unsharded engine; seeded Monte Carlo is
 compared across the two modes only (each shard samples its own compiled
-graph, so its streams differ from the single engine's).
+graph, so its streams differ from the single engine's). The last mode,
+one shard that owns every answer, is how an unsharded session runs, so
+it must be indistinguishable from the default session, seeded Monte
+Carlo included.
 """
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.api import EngineConfig, RankingOptions, ShardedResultSet
-from repro.engine.sharded import GatherResult
+from repro.api import (
+    EngineConfig,
+    QuerySpec,
+    RankingOptions,
+    Session,
+    ShardedResultSet,
+    open_session,
+)
+from repro.engine.sharded import GatherResult, HashPartitioner, ShardRouter
 from repro.errors import GraphError
+from repro.integration.mediator import Mediator
 from repro.integration.query import QueryGraph
 from repro.workloads import mediated_layers
 
@@ -174,6 +187,31 @@ class TestGatheredResult:
         assert [r.scores for r in batched] == [session.execute(s).scores for s in batch]
 
 
+class TestFastPath:
+    def test_try_cached_serves_warm_thread_shards_only(self, session, mode, spec):
+        executed = session.execute(spec)
+        served = session.try_cached(spec)
+        if mode == "process":
+            assert served is None  # the caches live in the workers
+        else:
+            assert isinstance(served, ShardedResultSet)
+            assert served.to_dict() == executed.to_dict()
+            assert served.owner_shards == executed.owner_shards
+
+    def test_a_partial_hit_counts_nowhere(self):
+        """A spec warm on one shard but not on the other is not served,
+        and the warm shard does not count a hit for it either."""
+        workload = mediated_layers(layers=3, width=16, fan_out=3, rng=11, shards=2)
+        spec = workload.spec(method="in_edge")
+        with workload.open_session(config=EngineConfig(shards=2)) as session:
+            session.execute(spec)
+            session.sharded_engine.engines[1].invalidate()
+            before = session.shard_stats()
+            assert session.try_cached(spec) is None
+            assert session.shard_stats() == before
+        workload.close()
+
+
 class TestShardStats:
     def test_session_stats_are_the_sum_of_shard_stats(self, session, spec):
         session.execute(spec)
@@ -199,3 +237,152 @@ class TestShardStats:
 
     def test_repr_names_the_mode(self, session, mode):
         assert f"shards=2 ({mode})" in repr(session)
+
+
+class TestOneShardRouter:
+    """An unsharded session runs as one shard that owns every answer,
+    over its own mediator. A session opened on an explicit router of
+    that shape must therefore be indistinguishable from the default
+    unsharded session, except that its results are gathered ones."""
+
+    SPECS = {
+        **DETERMINISTIC,
+        "reliability-mc-seeded": dict(
+            method="reliability", options=RankingOptions(strategy="mc", trials=50), seed=7
+        ),
+    }
+
+    @pytest.fixture
+    def pair(self, workload):
+        """(the default unsharded session, an explicit one-shard one),
+        each with cold caches."""
+        mediator = workload.mediator
+        single = Session(mediator=mediator)
+        one_shard = Session(
+            mediator=mediator, router=ShardRouter([mediator], HashPartitioner(1))
+        )
+        yield single, one_shard
+        single.close()
+        one_shard.close()
+
+    @staticmethod
+    def _explained(session, spec):
+        data = session.explain(spec).as_dict()
+        del data["build_seconds"], data["rank_seconds"]
+        return data
+
+    def test_unsharded_surface(self, workload, pair):
+        single, one_shard = pair
+        assert (single.router, single.sharded, single.shard_stats()) == (None, False, [])
+        assert single.sharded_engine is None and single.process_engine is None
+        result = single.execute(workload.spec(method="in_edge"))
+        assert isinstance(result.graph, QueryGraph)
+        assert one_shard.sharded and len(one_shard.shard_stats()) == 1
+        assert "shards=1 (thread)" in repr(single) and "shards=1 (thread)" in repr(one_shard)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_results_and_explanations_are_identical(self, workload, pair, name):
+        single, one_shard = pair
+        spec = workload.spec(**self.SPECS[name])
+        for _ in range(2):  # cold, then warm
+            expected = single.execute(spec)
+            gathered = one_shard.execute(spec)
+            assert isinstance(gathered, ShardedResultSet)
+            assert gathered.to_dict(limit=len(expected)) == expected.to_dict(
+                limit=len(expected)
+            )
+            assert gathered.scores == expected.scores
+            explained = self._explained(single, spec)
+            assert explained["fingerprint"]
+            assert self._explained(one_shard, spec) == explained
+
+    def test_try_cached_serves_identically(self, workload, pair):
+        single, one_shard = pair
+        spec = workload.spec(method="path_count")
+        assert single.try_cached(spec) is None and one_shard.try_cached(spec) is None
+        executed = single.execute(spec)
+        one_shard.execute(spec)
+        served, expected = one_shard.try_cached(spec), single.try_cached(spec)
+        assert expected is not None and served is not None
+        assert expected.graph is executed.graph
+        assert served.to_dict() == expected.to_dict()
+        assert one_shard.stats_snapshot() == single.stats_snapshot()
+
+    def test_execute_many_builds_each_traversal_once(self, workload, pair):
+        single, one_shard = pair
+        batch = [
+            workload.spec(outputs=(layer,), method=method)
+            for layer in workload.entity_sets[1:]
+            for method in ("in_edge", "path_count")
+        ]
+        expected = single.execute_many(batch)
+        gathered = one_shard.execute_many(batch)
+        assert [r.to_dict() for r in gathered] == [r.to_dict() for r in expected]
+        assert single.stats_snapshot().queries_executed == 1
+        assert one_shard.stats_snapshot() == single.stats_snapshot()
+
+    def test_rank_shares_the_execution_caches(self, workload, pair):
+        single, _ = pair
+        spec = workload.spec(method="in_edge")
+        result = single.execute(spec)
+        before = single.stats_snapshot()
+        single.rank(result.graph, "in_edge")
+        after = single.stats_snapshot()
+        assert after.score_hits == before.score_hits + 1
+
+    def test_register_adds_the_source_once(self, workload):
+        """The one shard's mediator is the session's own, so a
+        registration must not be replayed into it a second time."""
+        sources = workload.mediator.sources
+        unsharded = open_session().register(*sources)
+        mediator = Mediator()
+        explicit = Session(
+            mediator=mediator, router=ShardRouter([mediator], HashPartitioner(1))
+        ).register(*sources)
+        spec = workload.spec(method="in_edge")
+        with workload.open_session(sharded=False) as reference:
+            expected = reference.execute(spec).to_dict()
+        for session in (unsharded, explicit):
+            with session:
+                assert len(session.mediator.sources) == len(sources)
+                assert session.execute(spec).to_dict() == expected
+
+    def test_serving_counters_are_counted_once(self, workload, pair):
+        """Admission and coalescing note their counters on
+        ``session.engine``, which is an unsharded session's one shard."""
+        single, one_shard = pair
+        for session in (single, one_shard):
+            session.engine.note_coalesced(2)
+            session.engine.note_queued(3)
+            session.engine.note_shed(1)
+            stats = session.stats_snapshot()
+            assert (stats.coalesced_queries, stats.queued_queries, stats.shed_queries) == (
+                2, 3, 1
+            )
+            assert session.stats() == stats
+
+
+def test_parallel_traversal_groups_match_one_by_one(workload):
+    """Traversal groups run on the session's pool while each scatters on
+    the shard pool, sharing every shard's caches and the answer-set
+    view cache; a lost update would show as a wrong or missing answer."""
+    specs = [
+        QuerySpec("E0", "id", f"E0:{i}", outputs=outputs, method="in_edge")
+        for i in range(8)
+        for outputs in (("E1",), ("E2",), ("E1", "E2"))
+    ]
+
+    def observed(outcome):
+        return str(outcome) if isinstance(outcome, Exception) else outcome.to_dict()
+
+    with workload.open_session(sharded=False) as single:
+        expected = [observed(r) for r in single.execute_many(specs, max_workers=1, return_errors=True)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with workload.open_session(config=EngineConfig(shards=2, max_workers=8)) as session:
+            for _ in range(3):
+                batched = session.execute_many(specs, return_errors=True)
+                assert [observed(r) for r in batched] == expected
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,14 +2,18 @@
 """End-to-end smoke of the serving stack, as CI runs it.
 
 Boots ``python -m repro.serving`` as a real subprocess over a generated
-``mediated_layers`` workload, once per shard mode (``thread``, then
-``process``), and drives it the way an operator and a client would:
+``mediated_layers`` workload three times — unsharded (``--shards 1``,
+the one-shard scatter/gather path every unsharded deployment takes),
+then on 2 shards in each shard mode (``thread``, then ``process``) —
+and drives it the way an operator and a client would:
 
 1. waits for the address announcement on stdout and polls ``/health``;
 2. executes a query over HTTP and compares every score bit-for-bit
    against an in-process single-engine session on the same workload;
-3. exercises ``/execute_many``, ``/explain``, ``/stats`` and
-   ``/shard_stats``;
+3. exercises ``/execute_many``, ``/explain`` and ``/stats``, plus
+   ``/shard_stats`` on the sharded servers (an unsharded server has no
+   per-shard counters; its ``/explain`` reports the graph's
+   fingerprint);
 4. process mode only: SIGKILLs one shard worker (pid taken from
    ``/shard_stats``) and re-runs the query — the supervised restart
    must produce the same bit-identical answer, and ``/shard_stats``
@@ -76,8 +80,10 @@ def _fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def _smoke(mode: str, spec_dict: dict, reference: dict) -> None:
-    """Boot one server in shard mode ``mode`` and run steps 1-5."""
+def _smoke(mode: str, shards: int, spec_dict: dict, reference: dict) -> None:
+    """Boot one server on ``shards`` shards in shard mode ``mode`` and
+    run steps 1-5."""
+    label = mode if shards > 1 else "unsharded"
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro.serving",
@@ -86,7 +92,7 @@ def _smoke(mode: str, spec_dict: dict, reference: dict) -> None:
             "--fan-out", str(WORKLOAD["fan_out"]),
             "--seeds", str(WORKLOAD["seeds"]),
             "--rng", str(WORKLOAD["rng"]),
-            "--shards", str(SHARDS),
+            "--shards", str(shards),
             "--shard-mode", mode,
             "--port", "0",
         ],
@@ -102,7 +108,7 @@ def _smoke(mode: str, spec_dict: dict, reference: dict) -> None:
             _fail("server exited before announcing its address")
         address = json.loads(announcement)
         url = address["url"]
-        print(f"[{mode}] server up at {url} (pid {address['pid']})")
+        print(f"[{label}] server up at {url} (pid {address['pid']})")
 
         deadline = time.monotonic() + BOOT_TIMEOUT
         while True:
@@ -115,16 +121,16 @@ def _smoke(mode: str, spec_dict: dict, reference: dict) -> None:
                 time.sleep(0.2)
         if health.get("status") != "ok" or health.get("shard_mode") != mode:
             _fail(f"unexpected /health: {health}")
-        if health.get("shards") != SHARDS or not health.get("sharded"):
-            _fail(f"expected {SHARDS} shards, got {health}")
-        if mode == "process" and health.get("workers_alive") != SHARDS:
-            _fail(f"expected {SHARDS} live workers, got {health}")
-        print(f"[{mode}] health: {health}")
+        if health.get("shards") != shards or health.get("sharded") != (shards > 1):
+            _fail(f"expected {shards} shard(s), got {health}")
+        if mode == "process" and health.get("workers_alive") != shards:
+            _fail(f"expected {shards} live workers, got {health}")
+        print(f"[{label}] health: {health}")
 
         served = _scores(_request(f"{url}/execute", spec_dict))
         if served != reference:
             _fail("served scores differ from the single-engine reference")
-        print(f"[{mode}] execute: {len(served)} answers, bit-identical to reference")
+        print(f"[{label}] execute: {len(served)} answers, bit-identical to reference")
 
         many = _request(f"{url}/execute_many", {"specs": [spec_dict, spec_dict]})
         if many["count"] != 2 or any(
@@ -132,17 +138,20 @@ def _smoke(mode: str, spec_dict: dict, reference: dict) -> None:
         ):
             _fail("execute_many results diverged")
         explanation = _request(f"{url}/explain", spec_dict)
-        if explanation.get("answers") != len(reference):
+        if explanation.get("answers") != len(reference) or (
+            shards == 1 and not explanation.get("fingerprint")
+        ):
             _fail(f"unexpected /explain: {explanation}")
         stats = _request(f"{url}/stats")
-        if stats["engine"]["queries_executed"] < SHARDS:
+        if stats["engine"]["queries_executed"] < shards:
             _fail(f"unexpected /stats: {stats}")
         shard_stats = _request(f"{url}/shard_stats")
-        if len(shard_stats.get("shards") or []) != SHARDS or any(
+        expected_shards = shards if shards > 1 else 0
+        if len(shard_stats.get("shards") or []) != expected_shards or any(
             shard["queries_executed"] < 1 for shard in shard_stats["shards"]
         ):
             _fail(f"unexpected /shard_stats: {shard_stats}")
-        print(f"[{mode}] execute_many / explain / stats / shard_stats: ok")
+        print(f"[{label}] execute_many / explain / stats / shard_stats: ok")
 
         if mode == "process":
             worker_pids = _kill_and_recover(url, spec_dict, reference, shard_stats)
@@ -164,7 +173,7 @@ def _smoke(mode: str, spec_dict: dict, reference: dict) -> None:
         if time.monotonic() > deadline:
             _fail(f"worker processes survived shutdown: {worker_pids}")
         time.sleep(0.1)
-    print(f"[{mode}] clean shutdown" + (", all workers reaped" if worker_pids else ""))
+    print(f"[{label}] clean shutdown" + (", all workers reaped" if worker_pids else ""))
 
 
 def _kill_and_recover(url: str, spec_dict: dict, reference: dict,
@@ -212,8 +221,9 @@ def main() -> int:
         }
     workload.close()
     print(f"reference: {len(reference)} answers from the single engine")
+    _smoke("thread", 1, spec.to_dict(), reference)
     for mode in ("thread", "process"):
-        _smoke(mode, spec.to_dict(), reference)
+        _smoke(mode, SHARDS, spec.to_dict(), reference)
     return 0
 
 
