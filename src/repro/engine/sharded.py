@@ -625,6 +625,11 @@ class ShardScatter:
         # spawning threads per request would dwarf that
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
+        self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     def gather(self, spec: "QuerySpec") -> GatherResult:
         """Scatter ``spec`` to its relevant shards, rank each shard's
@@ -669,6 +674,7 @@ class ShardScatter:
     def serve_cached(self, spec: "QuerySpec") -> Optional[GatherResult]:
         """Gather ``spec`` from the shard caches alone, or ``None``
         without executing anything (always ``None`` here)."""
+        self._check_open()
         return None
 
     def shard_stats(self) -> List[EngineStats]:
@@ -676,7 +682,8 @@ class ShardScatter:
         raise NotImplementedError
 
     def _check_open(self) -> None:
-        """Refuse work once closed (thread shards can always work)."""
+        if self._closed:
+            raise RankingError(f"this {self.mode}-sharded engine is closed")
 
     def stats_snapshot(self) -> EngineStats:
         """The field-wise sum of every shard's counters."""
@@ -684,6 +691,7 @@ class ShardScatter:
 
     def _scatter_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
+            self._check_open()  # under the lock: close() cannot race a new pool
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.router.shards,
@@ -691,11 +699,20 @@ class ShardScatter:
                 )
             return self._pool
 
-    def _close_pool(self) -> None:
+    def close(self) -> None:
+        """Refuse further gathers, release the scatter pool and then
+        the mode's own resources (:meth:`_release`). Idempotent."""
         with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        self._release()
+
+    def _release(self) -> None:
+        """What closing frees beyond the scatter pool."""
 
 
 class ShardedEngine(ShardScatter):
@@ -797,6 +814,7 @@ class ShardedEngine(ShardScatter):
         """Gather ``spec`` from the shard caches alone, or ``None``
         without executing anything. A hit is taken (and counted) only
         once every relevant shard has one."""
+        self._check_open()
         query = spec.to_exploratory()
         options = spec.options.to_kwargs(spec.method, spec.seed)
         relevant = self.router.relevant_shards(query)
@@ -830,9 +848,8 @@ class ShardedEngine(ShardScatter):
         for engine in self.engines:
             engine.invalidate()
 
-    def close(self) -> None:
-        """Release the scatter pool and drop every child's caches."""
-        self._close_pool()
+    def _release(self) -> None:
+        """Drop every child's caches."""
         self.invalidate()
 
     def __repr__(self) -> str:

@@ -32,22 +32,28 @@ See ``docs/serving.md`` for the wire protocol, the supervision/retry
 policy and the failure classification table.
 """
 
-from repro.serving.engine import ProcessShardedEngine, WorkerHandle, live_worker_processes
-from repro.serving.rpc import (
-    RPC_PROTOCOL_VERSION,
-    RpcConnection,
-    RpcRemoteError,
-    RpcTransportError,
-    decode_exception,
-    decode_message,
-    decode_node,
-    encode_exception,
-    encode_message,
-    encode_node,
-)
-from repro.serving.server import ServingServer, serve
-from repro.serving.source import WorkerSource
-from repro.serving.worker import ShardWorker
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.serving.engine import ProcessShardedEngine, WorkerHandle, live_worker_processes
+    from repro.serving.rpc import (
+        RPC_PROTOCOL_VERSION,
+        RpcConnection,
+        RpcRemoteError,
+        RpcTransportError,
+        decode_exception,
+        decode_message,
+        decode_node,
+        encode_exception,
+        encode_message,
+        encode_node,
+    )
+    from repro.serving.server import ServingServer, serve
+    from repro.serving.source import WorkerSource
+    from repro.serving.worker import ShardWorker
 
 __all__ = [
     "ProcessShardedEngine",
@@ -68,3 +74,40 @@ __all__ = [
     "live_worker_processes",
     "serve",
 ]
+
+
+#: export -> defining submodule. Exports resolve on first use (PEP 562),
+#: so a worker process importing ``repro.serving.worker`` loads neither
+#: the HTTP front door nor the supervisor.
+_EXPORTS = {
+    "ProcessShardedEngine": "engine",
+    "WorkerHandle": "engine",
+    "live_worker_processes": "engine",
+    "RPC_PROTOCOL_VERSION": "rpc",
+    "RpcConnection": "rpc",
+    "RpcRemoteError": "rpc",
+    "RpcTransportError": "rpc",
+    "decode_exception": "rpc",
+    "decode_message": "rpc",
+    "decode_node": "rpc",
+    "encode_exception": "rpc",
+    "encode_message": "rpc",
+    "encode_node": "rpc",
+    "ServingServer": "server",
+    "serve": "server",
+    "WorkerSource": "source",
+    "ShardWorker": "worker",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

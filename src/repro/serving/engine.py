@@ -38,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional
@@ -48,7 +49,7 @@ if TYPE_CHECKING:
 from repro.core.paths import EvidencePath
 from repro.engine.ranking import EngineStats
 from repro.engine.sharded import Outcome, ShardRouter, ShardScatter
-from repro.errors import QueryError, RankingError
+from repro.errors import QueryError
 from repro.serving import rpc
 from repro.serving.source import WorkerSource
 
@@ -111,6 +112,8 @@ class WorkerHandle:
         self._lock = threading.Lock()
         self._token = secrets.token_hex(8)
         self._closed = False
+        self._released = False
+        self._boot_deadline = 0.0
         self.process: Optional[subprocess.Popen] = None
         self._conn: Optional[rpc.RpcConnection] = None
         # per-shard listener, bound once: a unix socket when the
@@ -130,15 +133,10 @@ class WorkerHandle:
             self._socket_path = None
         self._listener.listen(1)
         try:
-            self._spawn()
+            self._launch()
         except Exception:
-            # a failed first boot must not leak the listener/socket file
-            self._listener.close()
-            if self._socket_path is not None:
-                try:
-                    os.unlink(self._socket_path)
-                except OSError:
-                    pass
+            # a failed first launch must not leak the listener/socket file
+            self._release_listener()
             raise
 
     @property
@@ -153,7 +151,9 @@ class WorkerHandle:
     # lifecycle
     # ------------------------------------------------------------ #
 
-    def _spawn(self) -> None:
+    def _launch(self) -> None:
+        """Start a worker process; it boots while the caller goes on
+        (see :meth:`handshake`)."""
         boot = {
             "protocol": rpc.RPC_PROTOCOL_VERSION,
             "shard": self.shard,
@@ -162,6 +162,7 @@ class WorkerHandle:
             "source": self._source.to_dict(),
             "engine": self._engine_options,
         }
+        self._boot_deadline = time.monotonic() + self._boot_timeout
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.serving.worker", json.dumps(boot)],
             env=_worker_env(),
@@ -169,8 +170,14 @@ class WorkerHandle:
             stderr=subprocess.PIPE,
         )
         _LIVE_WORKERS.add(self.process)
+
+    def handshake(self) -> None:
+        """Wait for the launched worker's ``hello`` and check its token,
+        shard and protocol version; a ``fatal`` bootstrap report or a
+        worker silent until ``boot_timeout`` after its launch is
+        reaped and raised as :class:`~repro.serving.rpc.RpcTransportError`."""
         try:
-            self._listener.settimeout(self._boot_timeout)
+            self._listener.settimeout(self._boot_remaining())
             try:
                 accepted, _ = self._listener.accept()
             except socket.timeout:
@@ -179,7 +186,7 @@ class WorkerHandle:
                     f"{self._boot_timeout:.0f}s: {self._stderr_tail()}"
                 ) from None
             conn = rpc.RpcConnection(accepted)
-            hello = conn.receive(timeout=self._boot_timeout)
+            hello = conn.receive(timeout=self._boot_remaining())
         except rpc.RpcTransportError:
             self._reap()
             raise
@@ -201,6 +208,10 @@ class WorkerHandle:
                 f"shard {self.shard} worker sent a bad handshake: {hello!r}"
             )
         self._conn = conn
+
+    def _boot_remaining(self) -> float:
+        # a socket timeout of 0 would mean non-blocking, not expired
+        return max(self._boot_deadline - time.monotonic(), 1e-3)
 
     def _stderr_tail(self, limit: int = 400) -> str:
         if self.process is None or self.process.stderr is None:
@@ -244,7 +255,8 @@ class WorkerHandle:
                 )
             self._reap()
             self.restarts += 1
-            self._spawn()
+            self._launch()
+            self.handshake()
 
     def ensure_alive(self) -> None:
         """Respawn a worker already known to be dead (dropped
@@ -261,7 +273,8 @@ class WorkerHandle:
                 return
             self._reap()
             self.restarts += 1
-            self._spawn()
+            self._launch()
+            self.handshake()
 
     def call(self, method: str, params: Mapping[str, object],
              timeout: Optional[float]) -> object:
@@ -287,28 +300,56 @@ class WorkerHandle:
                 self._conn = None
                 raise
 
-    def close(self, graceful_timeout: float = 2.0) -> None:
-        """Shut the worker down (graceful RPC first, then SIGKILL),
-        reap it, and release the listener + socket file. Idempotent."""
+    def request_shutdown(self) -> None:
+        """Refuse further calls and send the worker its ``shutdown``
+        request without waiting for the reply, so a whole fleet winds
+        down together (:meth:`close` then reaps). Idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             if self._conn is not None:
                 try:
-                    self._conn.call("shutdown", {}, timeout=graceful_timeout)
-                except (rpc.RpcTransportError, rpc.RpcRemoteError):
+                    self._conn.send(rpc.request(0, "shutdown", {}))
+                except rpc.RpcTransportError:
+                    self._conn.close()
+                    self._conn = None
+
+    def close(self, graceful_timeout: float = 2.0) -> None:
+        """Shut the worker down (graceful RPC first, then SIGKILL),
+        reap it, and release the listener + socket file. Idempotent."""
+        self.request_shutdown()
+        with self._lock:
+            if self._released:
+                return
+            if self._conn is not None:
+                try:  # the reply, or EOF as the worker exits
+                    self._conn.receive(timeout=graceful_timeout)
+                except rpc.RpcTransportError:
                     pass
             self._reap()
+            self._release_listener()
+
+    def _release_listener(self) -> None:
+        self._released = True
+        try:
+            self._listener.close()
+        except OSError:
+            pass
+        if self._socket_path is not None:
             try:
-                self._listener.close()
+                os.unlink(self._socket_path)
             except OSError:
                 pass
-            if self._socket_path is not None:
-                try:
-                    os.unlink(self._socket_path)
-                except OSError:
-                    pass
+
+
+def _close_all(handles: List[WorkerHandle], graceful_timeout: float = 2.0) -> None:
+    """Close every handle: all workers are asked to shut down before
+    any is reaped."""
+    for handle in handles:
+        handle.request_shutdown()
+    for handle in handles:
+        handle.close(graceful_timeout)
 
 
 class ProcessShardedEngine(ShardScatter):
@@ -343,9 +384,10 @@ class ProcessShardedEngine(ShardScatter):
         self.source = source
         self.rpc_timeout = rpc_timeout
         self.worker_restarts = worker_restarts
-        self._closed = False
         self._socket_dir = tempfile.mkdtemp(prefix="repro-shards-")
         self.workers: List[WorkerHandle] = []
+        # every worker boots at once: all are launched before the first
+        # handshake, and each one's boot_timeout runs from its own launch
         try:
             for shard in range(router.shards):
                 self.workers.append(WorkerHandle(
@@ -355,6 +397,8 @@ class ProcessShardedEngine(ShardScatter):
                     self._socket_dir,
                     boot_timeout=boot_timeout,
                 ))
+            for handle in self.workers:
+                handle.handshake()
         except Exception:
             self.close()
             raise
@@ -366,10 +410,6 @@ class ProcessShardedEngine(ShardScatter):
     @property
     def shards(self) -> int:
         return len(self.workers)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # ------------------------------------------------------------ #
     # supervised RPC
@@ -452,12 +492,10 @@ class ProcessShardedEngine(ShardScatter):
     # ------------------------------------------------------------ #
 
     def shard_stats(self) -> List[EngineStats]:
-        self._check_open()
-        stats = []
-        for handle in self.workers:
-            record = self._call_supervised(handle, "stats", {})
-            stats.append(rpc.decode_engine_stats(record["engine"]))  # type: ignore[index]
-        return stats
+        return [
+            rpc.decode_engine_stats(record["engine"])  # type: ignore[index]
+            for record in self._broadcast("stats", {})
+        ]
 
     def describe_workers(self) -> List[Dict[str, object]]:
         """Operator view: per-shard pid / restart count / liveness
@@ -473,39 +511,30 @@ class ProcessShardedEngine(ShardScatter):
         ]
 
     def reset_stats(self) -> None:
-        self._check_open()
-        for handle in self.workers:
-            self._call_supervised(handle, "reset_stats", {})
+        self._broadcast("reset_stats", {})
 
     def invalidate(self) -> None:
-        self._check_open()
-        for handle in self.workers:
-            self._call_supervised(handle, "repair", {"reload": False})
+        self._broadcast("repair", {"reload": False})
 
     def repair(self, reload: bool = True) -> None:
         """Ask every worker to drop caches and (by default) re-resolve
         its source recipe — the operator path after refreshing the
         shard files on disk."""
-        self._check_open()
-        for handle in self.workers:
-            self._call_supervised(handle, "repair", {"reload": reload})
+        self._broadcast("repair", {"reload": reload})
 
-    def ping(self) -> List[Dict[str, object]]:
-        self._check_open()
-        return [
-            dict(self._call_supervised(handle, "ping", {}))  # type: ignore[call-overload]
-            for handle in self.workers
-        ]
+    def _broadcast(self, method: str, params: Mapping[str, object]) -> List[object]:
+        """One supervised call per worker, run across the workers on
+        the scatter pool; replies in shard order."""
+        return self._map(
+            lambda shard, _: self._call_supervised(self.workers[shard], method, params),
+            list(range(self.shards)), None,
+        )
 
-    def close(self) -> None:
-        """Reap every worker (graceful shutdown RPC, then SIGKILL),
-        release sockets and the socket directory. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._close_pool()
-        for handle in self.workers:
-            handle.close()
+    def _release(self) -> None:
+        """Reap every worker (graceful shutdown RPC to all, then
+        SIGKILL as the backstop), release sockets and the socket
+        directory."""
+        _close_all(self.workers)
         finalizer = getattr(self, "_finalizer", None)
         if finalizer is not None:
             finalizer.detach()
@@ -513,10 +542,6 @@ class ProcessShardedEngine(ShardScatter):
             os.rmdir(self._socket_dir)
         except OSError:
             pass
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RankingError("this process-sharded engine is closed")
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -529,11 +554,10 @@ class ProcessShardedEngine(ShardScatter):
 def _finalize_workers(handles: List[WorkerHandle], socket_dir: str) -> None:
     """Last-resort cleanup when an engine is garbage-collected without
     ``close()`` — OS processes must never outlive their supervisor."""
-    for handle in handles:
-        try:
-            handle.close(graceful_timeout=0.5)
-        except Exception:
-            pass
+    try:
+        _close_all(handles, graceful_timeout=0.5)
+    except Exception:
+        pass
     try:
         os.rmdir(socket_dir)
     except OSError:

@@ -6,6 +6,8 @@ mechanics — routing, partitioners, fault paths, per-shard cache
 invalidation, stats aggregation and the session wiring.
 """
 
+import threading
+
 import pytest
 
 from repro.api import EngineConfig, Session, open_session
@@ -347,6 +349,26 @@ class TestStatsAndSession:
         session.close()
         with pytest.raises(RankingError, match="closed"):
             session.execute(workload.spec())
+
+    def test_closed_sharded_engine_refuses_work_and_keeps_no_pool(self, workload):
+        engine = ShardedEngine(workload.router)
+        spec = workload.spec()
+        before = set(threading.enumerate())
+        engine.gather(spec)
+        engine.close()
+        engine.close()  # idempotent
+        assert engine.closed
+        with pytest.raises(RankingError, match="closed"):
+            engine.gather(spec)
+        with pytest.raises(RankingError, match="closed"):
+            engine.gather_group([spec, workload.spec(method="path_count")])
+        with pytest.raises(RankingError, match="closed"):
+            engine.serve_cached(spec)
+        assert engine._pool is None
+        assert not [
+            thread for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("shard-scatter")
+        ]
 
     def test_sharded_engine_repr_and_properties(self, workload):
         engine = ShardedEngine(workload.router)
