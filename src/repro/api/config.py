@@ -240,16 +240,16 @@ class EngineConfig:
     #: how many times a single request may restart-and-retry a failed
     #: worker before the query fails with a classified shard error
     worker_restarts: int = 2
-    #: per-session cap on concurrently *executing* requests for the
-    #: serving surfaces (the async session's semaphore and, when
-    #: ``max_queue_depth`` engages the admission gate, the HTTP front
-    #: door); direct ``Session.execute`` calls are never gated
+    #: per-session cap on concurrently *executing* requests: the slots of
+    #: the one admission gate every front door shares, taken once per
+    #: single-flight leader (followers are never admitted); the async
+    #: session also sizes its executor by it
     max_concurrency: int = 8
     #: bounded admission: how many requests may *wait* for an execution
     #: slot beyond ``max_concurrency`` before new arrivals are shed
     #: with an ``OverloadedError`` (surfaced as HTTP 503 +
-    #: ``Retry-After``). ``None`` (the default) disables shedding —
-    #: the queue is unbounded and the sync HTTP path stays ungated
+    #: ``Retry-After``). ``None`` (the default) disables shedding and
+    #: the session's gate; the async session then queues without bound
     max_queue_depth: Optional[int] = None
     #: the ``Retry-After`` hint (seconds) attached to shed requests
     retry_after: float = 1.0

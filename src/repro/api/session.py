@@ -29,12 +29,14 @@ and cache provenance.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     List,
@@ -57,7 +59,7 @@ from repro.api.result import ResultSet, ShardedResultSet
 from repro.api.spec import Query, QuerySpec
 from repro.core.graph import QueryGraph
 from repro.core.ranker import RankedResult
-from repro.engine.ranking import EngineStats, RankingEngine
+from repro.engine.ranking import EngineStats, RankingEngine, SingleFlight
 from repro.engine.sharded import GatherResult, HashPartitioner, ShardedEngine, ShardRouter
 from repro.errors import QueryError, RankingError, ReproError
 from repro.integration.builder import BuildStats
@@ -215,6 +217,19 @@ class Session:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._admission: Optional["AdmissionGate"] = None
+        if self._config.max_queue_depth is not None:
+            # imported here: repro.async_ imports this module
+            from repro.async_.admission import AdmissionGate
+
+            self._admission = AdmissionGate(
+                self._config.max_concurrency,
+                self._config.max_queue_depth,
+                retry_after=self._config.retry_after,
+                on_queued=self._engine.note_queued,
+                on_shed=self._engine.note_shed,
+            )
+        #: spec -> its pending execution; every front door joins here
+        self._inflight = SingleFlight()
         self._closed = False
 
     # -------------------------------------------------------------- #
@@ -263,25 +278,10 @@ class Session:
         """The session's bounded admission gate, or ``None`` when the
         config leaves admission unbounded (``max_queue_depth=None``).
 
-        Built lazily from ``config.max_concurrency`` /
+        Built from ``config.max_concurrency`` /
         ``config.max_queue_depth`` / ``config.retry_after`` and wired to
-        the engine's queued/shed counters. The HTTP front door admits
-        every execution request through this gate; direct callers may
-        too (``with session.admission: ...``)."""
-        if self._config.max_queue_depth is None:
-            return None
-        if self._admission is None:
-            with self._pool_lock:
-                if self._admission is None:
-                    from repro.async_.admission import AdmissionGate
-
-                    self._admission = AdmissionGate(
-                        self._config.max_concurrency,
-                        self._config.max_queue_depth,
-                        retry_after=self._config.retry_after,
-                        on_queued=self._engine.note_queued,
-                        on_shed=self._engine.note_shed,
-                    )
+        the engine's queued/shed counters. Every front door admits
+        through it: once per flight leader, batch or explanation."""
         return self._admission
 
     def register(self, *sources: DataSource) -> "Session":
@@ -352,9 +352,38 @@ class Session:
             ...     results = session.execute(workload.spec(method="path_count"))
             ...     results[0].entity_set, len(results) > 0
             ('E1', True)
+
+        Identical concurrent specs that started at the same mediator
+        epochs share one execution, result or error (single-flight);
+        only the flight's leader is admitted through :attr:`admission`.
         """
         self._check_open()
         spec = self._coerce(spec)
+        flight, leader = self._join(spec)
+        if not leader:
+            return flight.result()
+        return self._inflight.lead(spec, flight, self._admitted_gather, spec)
+
+    def _join(self, spec: QuerySpec) -> Tuple["Future[ResultSet]", bool]:
+        """Join ``spec``'s flight, tokened by the epochs of the mediators
+        it reads, or lead one; a follower counts as coalesced."""
+        router = self._scatter.router
+        token = [router.mediators[shard].epoch for shard in router.relevant_shards(spec)]
+        flight, leader = self._inflight.join(spec, token)
+        if not leader:
+            self._engine.note_coalesced()
+        return flight, leader
+
+    def _admitted(self) -> ContextManager[object]:
+        """One admission through :attr:`admission`, if bounded."""
+        return nullcontext() if self._admission is None else self._admission
+
+    def _admitted_gather(self, spec: QuerySpec) -> ResultSet:
+        with self._admitted():
+            return self._gather(spec)
+
+    def _gather(self, spec: QuerySpec) -> ResultSet:
+        """``spec`` executed, neither admitted nor coalesced."""
         return self._result(self._scatter.gather(spec), spec=spec)
 
     def try_cached(self, spec: SpecLike) -> Optional[ResultSet]:
@@ -417,19 +446,20 @@ class Session:
 
         run = self._scatter.gather_group
         workers = self._config.max_workers if max_workers is None else max_workers
-        if workers > 1 and len(group_list) > 1:
-            if workers == self._config.max_workers:
-                # the session's persistent pool — hoisted out of the
-                # call so repeated batches stop paying thread
-                # spawn/teardown on every invocation
-                group_results = list(self._executor().map(run, group_list))
+        with self._admitted():  # one admission per batch
+            if workers > 1 and len(group_list) > 1:
+                if workers == self._config.max_workers:
+                    # the session's persistent pool — hoisted out of the
+                    # call so repeated batches stop paying thread
+                    # spawn/teardown on every invocation
+                    group_results = list(self._executor().map(run, group_list))
+                else:
+                    # an explicit non-default width gets a transient pool
+                    # of exactly that size
+                    with ThreadPoolExecutor(max_workers=workers) as pool:
+                        group_results = list(pool.map(run, group_list))
             else:
-                # an explicit non-default width gets a transient pool
-                # of exactly that size
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    group_results = list(pool.map(run, group_list))
-        else:
-            group_results = [run(group) for group in group_list]
+                group_results = [run(group) for group in group_list]
 
         for group, gathered in zip(group_list, group_results):
             for spec, outcome in zip(group, gathered):
@@ -507,6 +537,11 @@ class Session:
             (False, True, True)
         """
         self._check_open()
+        with self._admitted():
+            return self._explain(spec)
+
+    def _explain(self, spec: SpecLike) -> Explanation:
+        """:meth:`explain` without admission."""
         spec = self._coerce(spec)
         gathered = self._scatter.gather(spec)
         return Explanation(

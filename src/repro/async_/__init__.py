@@ -1,24 +1,14 @@
 """``repro.async_`` — the asynchronous serving core.
 
 An :mod:`asyncio` surface over the synchronous :class:`~repro.api.Session`
-facade, adding the three serving-grade behaviors a thread pool cannot
-express:
-
-* **single-flight coalescing** — identical specs arriving while a
-  traversal is in flight await one shared future instead of
-  re-traversing (spec-keyed at this layer, signature-keyed inside
-  :class:`~repro.engine.RankingEngine` for the sync surface);
-* **bounded admission** — configurable in-flight and queue-depth caps
-  (:class:`~repro.api.EngineConfig` ``max_concurrency`` /
-  ``max_queue_depth``), overload surfacing as a typed
-  :class:`~repro.errors.OverloadedError` (HTTP 503 + ``Retry-After``
-  at the front door);
-* **per-session concurrency caps** — an async semaphore bounds
-  concurrently executing requests, with coalesced/queued/shed counters
-  on :class:`~repro.engine.EngineStats`.
-
-Results are bit-identical to the sync path: the async layer runs the
-same session code on an executor, it never re-implements execution.
+whose serving policy every front door (direct, HTTP, async) shares:
+one single-flight key — identical specs started at the same mediator
+epochs share one execution, and followers are never admitted — and one
+:class:`AdmissionGate` (``max_concurrency`` slots, ``max_queue_depth``
+waiters in FIFO order, sync or awaited; overload is an
+:class:`~repro.errors.OverloadedError`, HTTP 503 at the front door).
+:class:`AsyncSession` adds only the executor hop, so its results are
+bit-identical to the sync path.
 
 ::
 

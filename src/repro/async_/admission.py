@@ -1,4 +1,4 @@
-"""Bounded admission control shared by the serving surfaces.
+"""Bounded admission control shared by every front door.
 
 :class:`AdmissionGate` is a thread-safe counting gate with two caps:
 
@@ -9,52 +9,38 @@
   :class:`~repro.errors.OverloadedError` carrying the configured
   ``retry_after`` hint.
 
-The sync HTTP front door (:mod:`repro.serving.server`) admits every
-execution request through the session's gate when
-``EngineConfig.max_queue_depth`` is set; the async session implements
-the same policy natively on asyncio primitives (waiting must not block
-the event loop) but shares the semantics and the counters.
+A freed slot goes to the longest waiter (FIFO), whether it blocks a
+thread (``with gate:``) or awaits on an event loop
+(:meth:`AdmissionGate.acquire_async`). The session's gate
+(``session.admission``) admits each single-flight leader once, for
+every front door; followers are never admitted.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
-from typing import Callable, Optional
+from collections import deque
+from concurrent.futures import Future
+from typing import Callable, Deque, Optional
 
 from repro.errors import OverloadedError
 
 __all__ = ["AdmissionGate"]
 
 
-def _overloaded(
-    in_flight: int,
-    queued: int,
-    max_in_flight: int,
-    max_queue_depth: int,
-    retry_after: float,
-) -> OverloadedError:
-    return OverloadedError(
-        f"session overloaded: {in_flight} request(s) in flight and "
-        f"{queued} queued (caps: max_concurrency={max_in_flight}, "
-        f"max_queue_depth={max_queue_depth}); retry after "
-        f"{retry_after:g}s",
-        retry_after=retry_after,
-    )
-
-
 class AdmissionGate:
-    """A bounded admission gate for synchronous callers.
+    """A bounded admission gate for threads and coroutines alike.
 
     Use as a context manager around one request's execution::
 
         with session.admission:          # may raise OverloadedError
-            results = session.execute(spec)
+            ...
 
-    ``on_queued`` / ``on_shed`` are optional callbacks (called with no
-    gate lock concerns for the caller — the gate invokes them while
-    holding its own condition, so they must not call back into the
-    gate) used to mirror outcomes onto
-    :class:`~repro.engine.EngineStats` counters.
+    or ``await gate.acquire_async()`` … ``gate.release()``.
+    ``on_queued`` / ``on_shed`` mirror outcomes onto
+    :class:`~repro.engine.EngineStats`; they run under the gate's lock,
+    so they must not call back into the gate.
     """
 
     def __init__(
@@ -78,61 +64,98 @@ class AdmissionGate:
         self.retry_after = retry_after
         self._on_queued = on_queued
         self._on_shed = on_shed
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._in_flight = 0
-        self._queued = 0
+        #: queued requests, oldest first, each resolved by a handed slot
+        self._waiters: Deque["Future[None]"] = deque()
 
     @property
     def in_flight(self) -> int:
         """Requests currently holding an execution slot."""
-        with self._cond:
+        with self._lock:
             return self._in_flight
 
     @property
     def queued(self) -> int:
         """Requests currently waiting for a slot."""
-        with self._cond:
-            return self._queued
+        with self._lock:
+            return len(self._waiters)
+
+    def _enter(self) -> "Optional[Future[None]]":
+        """Take a free slot (``None``) or a place in the queue (a
+        future resolved by a handed slot); shed when the queue is full."""
+        with self._lock:
+            # slots are handed over while anyone waits: free means empty
+            if self._in_flight < self.max_in_flight:
+                self._in_flight += 1
+                return None
+            queued = len(self._waiters)
+            if self.max_queue_depth is not None and queued >= self.max_queue_depth:
+                if self._on_shed is not None:
+                    self._on_shed()
+                raise OverloadedError(
+                    f"session overloaded: {self._in_flight} request(s) in "
+                    f"flight and {queued} queued (caps: "
+                    f"max_concurrency={self.max_in_flight}, "
+                    f"max_queue_depth={self.max_queue_depth}); retry after "
+                    f"{self.retry_after:g}s",
+                    retry_after=self.retry_after,
+                )
+            waiter: "Future[None]" = Future()
+            self._waiters.append(waiter)
+            if self._on_queued is not None:
+                self._on_queued()
+            return waiter
+
+    def _abandon(self, waiter: "Future[None]") -> None:
+        """Leave the queue after an interrupted wait, giving back the
+        slot if one was already handed over."""
+        with self._lock:
+            if waiter in self._waiters:
+                self._waiters.remove(waiter)
+                return
+        if not waiter.cancelled():
+            self.release()
 
     def acquire(self) -> None:
-        """Take one execution slot, waiting in the admission queue if
+        """Take one execution slot, blocking in the admission queue if
         none is free; raises :class:`OverloadedError` when the queue is
         full. Every successful acquire must be paired with
         :meth:`release`."""
-        with self._cond:
-            if self._in_flight < self.max_in_flight:
-                self._in_flight += 1
-                return
-            if (
-                self.max_queue_depth is not None
-                and self._queued >= self.max_queue_depth
-            ):
-                if self._on_shed is not None:
-                    self._on_shed()
-                raise _overloaded(
-                    self._in_flight,
-                    self._queued,
-                    self.max_in_flight,
-                    self.max_queue_depth,
-                    self.retry_after,
-                )
-            self._queued += 1
-            if self._on_queued is not None:
-                self._on_queued()
-            try:
-                while self._in_flight >= self.max_in_flight:
-                    self._cond.wait()
-                self._in_flight += 1
-            finally:
-                self._queued -= 1
+        waiter = self._enter()
+        if waiter is None:
+            return
+        try:
+            waiter.result()
+        except BaseException:
+            self._abandon(waiter)
+            raise
+
+    async def acquire_async(self) -> None:
+        """:meth:`acquire` for coroutines: waits without blocking the
+        event loop, and leaves the queue if the wait is cancelled."""
+        waiter = self._enter()
+        if waiter is None:
+            return
+        try:
+            await asyncio.wrap_future(waiter)
+        except BaseException:
+            self._abandon(waiter)
+            raise
 
     def release(self) -> None:
-        """Give an execution slot back and wake one queued waiter."""
-        with self._cond:
+        """Give an execution slot back: hand it to the oldest queued
+        request, or free it when none waits."""
+        with self._lock:
             if self._in_flight <= 0:
                 raise RuntimeError("release() without a matching acquire()")
+            while self._waiters:
+                waiter = self._waiters.popleft()
+                # a waiter cancelled on its event loop is skipped
+                if waiter.set_running_or_notify_cancel():
+                    waiter.set_result(None)
+                    return
             self._in_flight -= 1
-            self._cond.notify()
 
     def __enter__(self) -> "AdmissionGate":
         self.acquire()
@@ -142,9 +165,9 @@ class AdmissionGate:
         self.release()
 
     def __repr__(self) -> str:
-        with self._cond:
+        with self._lock:
             return (
                 f"<AdmissionGate in_flight={self._in_flight}/"
-                f"{self.max_in_flight} queued={self._queued}"
+                f"{self.max_in_flight} queued={len(self._waiters)}"
                 f"{'' if self.max_queue_depth is None else f'/{self.max_queue_depth}'}>"
             )

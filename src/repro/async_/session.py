@@ -7,22 +7,15 @@ scoring) runs on a dedicated executor sized to the session's
 ``max_concurrency``, so storage I/O of one request overlaps kernel
 scoring of another while the event loop stays responsive.
 
-Three serving behaviors live at this layer:
-
-* **spec-keyed single-flight** — identical specs arriving while one is
-  executing await a shared :class:`asyncio.Future` instead of taking
-  an executor thread (and the engine's signature-keyed single-flight
-  coalesces whatever still reaches it, so the sync surface is covered
-  too). A failed execution propagates its error to every waiter *and*
-  evicts the pending future, so the next identical request retries
-  cold.
-* **bounded admission** — at most ``max_concurrency`` requests execute
-  concurrently; up to ``max_queue_depth`` more may wait, and beyond
-  that new leaders are shed with
-  :class:`~repro.errors.OverloadedError` (``max_queue_depth=None``
-  waits without bound).
-* **counters** — coalesced/queued/shed outcomes are recorded on the
-  underlying engine's :class:`~repro.engine.EngineStats`.
+The facade keeps only that executor hop; the serving policy is the
+session's. ``execute`` joins the session's spec-keyed single-flight,
+so async, HTTP and direct callers of one spec share one execution and
+one :class:`~repro.api.ResultSet` (a follower takes no executor thread
+and no slot). A fully cache-resident spec with no flight pending is
+answered inline on the loop; a leader awaits one slot of the
+session's admission gate (or, if the session has none, a
+queue-unbounded gate of ``max_concurrency`` slots) and runs on the
+executor.
 
 Results are bit-identical to the sync path by construction: the async
 layer delegates to the very same session methods.
@@ -31,15 +24,13 @@ layer delegates to the very same session methods.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar, Union
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Iterable, List, TypeVar, Union
 
-from repro.api.config import EngineConfig
 from repro.api.result import ResultSet
 from repro.api.session import Explanation, Session, SpecLike, open_session
-from repro.api.spec import QuerySpec
-from repro.engine.ranking import EngineStats
-from repro.errors import OverloadedError, RankingError, ReproError
+from repro.async_.admission import AdmissionGate
+from repro.errors import RankingError, ReproError
 
 __all__ = ["AsyncSession", "open_async_session"]
 
@@ -55,17 +46,18 @@ class AsyncSession:
     ``own_session=True``). Use as an async context manager; closing
     shuts the executor down and, when owned, closes the session.
 
-    One event loop per async session: the coalescing futures and the
-    admission semaphore bind to the loop of the first awaited call.
+    No state binds to an event loop: flights and admission waits are
+    :class:`concurrent.futures.Future`\\ s, awaited on whichever loop
+    the call runs on.
     """
 
     def __init__(self, session: Session, own_session: bool = False) -> None:
         self._session = session
         self._own_session = own_session
         config = session.config
-        self._max_concurrency = config.max_concurrency
-        self._max_queue_depth = config.max_queue_depth
-        self._retry_after = config.retry_after
+        self._gate = session.admission or AdmissionGate(
+            config.max_concurrency, on_queued=session.engine.note_queued
+        )
         # sized to the concurrency cap, not config.max_workers: the
         # executor is the async session's execution lane, while the
         # session pool keeps its documented execute_many width
@@ -73,12 +65,6 @@ class AsyncSession:
             max_workers=config.max_concurrency,
             thread_name_prefix="repro-async",
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._in_flight = 0
-        self._queued = 0
-        #: coerced spec -> the shared future of its one pending execution
-        self._pending: Dict[QuerySpec, "asyncio.Future[ResultSet]"] = {}
         self._closed = False
 
     # -------------------------------------------------------------- #
@@ -87,79 +73,32 @@ class AsyncSession:
 
     @property
     def session(self) -> Session:
-        """The wrapped synchronous session (shared caches and stats)."""
+        """The wrapped synchronous session (its config, caches, stats
+        and flights)."""
         return self._session
-
-    @property
-    def config(self) -> EngineConfig:
-        return self._session.config
 
     @property
     def in_flight(self) -> int:
         """Requests currently holding an execution slot."""
-        return self._in_flight
+        return self._gate.in_flight
 
     @property
     def queued(self) -> int:
         """Requests currently waiting for an execution slot."""
-        return self._queued
-
-    def _loop_state(self) -> asyncio.Semaphore:
-        loop = asyncio.get_running_loop()
-        if self._loop is None:
-            self._loop = loop
-            self._semaphore = asyncio.Semaphore(self._max_concurrency)
-        elif loop is not self._loop:
-            raise RankingError(
-                "this AsyncSession is bound to another event loop; open "
-                "one async session per loop"
-            )
-        assert self._semaphore is not None
-        return self._semaphore
+        return self._gate.queued
 
     async def _run(self, fn: Callable[..., _T], *args: Any) -> _T:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, lambda: fn(*args))
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
+        )
 
-    # -------------------------------------------------------------- #
-    # admission
-    # -------------------------------------------------------------- #
-
-    async def _admit(self) -> None:
-        """Take one execution slot; shed when the queue is full.
-
-        The no-wait fast path and the queue-full check run without an
-        intervening ``await``, so they are atomic on the event loop.
-        """
-        semaphore = self._loop_state()
-        if self._in_flight >= self._max_concurrency:
-            if (
-                self._max_queue_depth is not None
-                and self._queued >= self._max_queue_depth
-            ):
-                self._session.engine.note_shed()
-                raise OverloadedError(
-                    f"session overloaded: {self._in_flight} request(s) in "
-                    f"flight and {self._queued} queued (caps: "
-                    f"max_concurrency={self._max_concurrency}, "
-                    f"max_queue_depth={self._max_queue_depth}); retry "
-                    f"after {self._retry_after:g}s",
-                    retry_after=self._retry_after,
-                )
-            self._queued += 1
-            self._session.engine.note_queued()
-            try:
-                await semaphore.acquire()
-            finally:
-                self._queued -= 1
-        else:
-            await semaphore.acquire()
-        self._in_flight += 1
-
-    def _release(self) -> None:
-        self._in_flight -= 1
-        assert self._semaphore is not None
-        self._semaphore.release()
+    async def _admitted(self, fn: Callable[..., _T], *args: Any) -> _T:
+        """Run ``fn(*args)`` on the executor while holding one slot."""
+        await self._gate.acquire_async()
+        try:
+            return await self._run(fn, *args)
+        finally:
+            self._gate.release()
 
     # -------------------------------------------------------------- #
     # execution
@@ -167,49 +106,28 @@ class AsyncSession:
 
     async def execute(self, spec: SpecLike) -> ResultSet:
         """Execute one spec; identical concurrent specs share one
-        execution (and its :class:`~repro.api.ResultSet`), exactly like
-        duplicate specs in one ``execute_many`` batch."""
+        execution (and its :class:`~repro.api.ResultSet`) with every
+        other caller of the session, exactly as in
+        :meth:`~repro.api.Session.execute`."""
         self._check_open()
         coerced = Session._coerce(spec)
-        self._loop_state()
-        pending = self._pending.get(coerced)
-        if pending is not None:
-            # coalesced follower: no executor thread, no admission slot
-            self._session.engine.note_coalesced()
-            return await pending
-        # inline fast path: a fully cache-resident request is a few
-        # dictionary probes — answer it on the event loop rather than
-        # paying an executor round trip (and an admission slot) for it
-        fast = self._session.try_cached(coerced)
-        if fast is not None:
-            return fast
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[ResultSet]" = loop.create_future()
-        self._pending[coerced] = future
+        flights = self._session._inflight
+        if coerced not in flights:
+            # inline fast path: a fully cache-resident request is a few
+            # dictionary probes — answer it on the event loop rather
+            # than paying a flight, an executor round trip and a slot
+            fast = self._session.try_cached(coerced)
+            if fast is not None:
+                return fast
+        flight, leader = self._session._join(coerced)
+        if not leader:
+            return await _bridge(flight)
         try:
-            await self._admit()
-            try:
-                result = await self._run(self._session.execute, coerced)
-            finally:
-                self._release()
+            result = await self._admitted(self._session._gather, coerced)
         except BaseException as exc:
-            # evict *before* resolving: the next identical request must
-            # retry cold rather than await a dead future — this covers
-            # shed leaders (OverloadedError) and failed traversals alike
-            if self._pending.get(coerced) is future:
-                del self._pending[coerced]
-            if not future.done():
-                if isinstance(exc, asyncio.CancelledError):
-                    future.cancel()
-                else:
-                    future.set_exception(exc)
-                    # mark retrieved so a follower-less failure does not
-                    # warn "Future exception was never retrieved"
-                    future.exception()
+            flights.settle(coerced, flight, error=exc)
             raise
-        if self._pending.get(coerced) is future:
-            del self._pending[coerced]
-        future.set_result(result)
+        flights.settle(coerced, flight, result)
         return result
 
     async def execute_many(
@@ -219,8 +137,8 @@ class AsyncSession:
     ) -> List[Union[ResultSet, ReproError]]:
         """Execute a batch concurrently (bounded by ``max_concurrency``).
 
-        Identical specs coalesce into one execution via the
-        single-flight map. Results come back in spec order; with
+        Identical specs coalesce into one execution via the session's
+        single-flight. Results come back in spec order; with
         ``return_errors=True`` a failing spec yields its exception in
         place instead of raising — the same contract as the sync
         :meth:`~repro.api.Session.execute_many`.
@@ -229,37 +147,23 @@ class AsyncSession:
         outcomes = await asyncio.gather(
             *(self.execute(spec) for spec in specs), return_exceptions=True
         )
-        results: List[Union[ResultSet, ReproError]] = []
         for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                if not isinstance(outcome, ReproError) or not return_errors:
-                    raise outcome
-                results.append(outcome)
-            else:
-                results.append(outcome)
-        return results
+            if isinstance(outcome, BaseException) and not (
+                return_errors and isinstance(outcome, ReproError)
+            ):
+                raise outcome
+        return outcomes
 
     async def explain(self, spec: SpecLike) -> Explanation:
         """Async passthrough to :meth:`~repro.api.Session.explain`
-        (admission-gated; never coalesced — an explanation reports
-        *this call's* cache provenance)."""
+        (admitted; never coalesced — an explanation reports *this
+        call's* cache provenance)."""
         self._check_open()
-        self._loop_state()
-        await self._admit()
-        try:
-            return await self._run(self._session.explain, spec)
-        finally:
-            self._release()
+        return await self._admitted(self._session._explain, spec)
 
     # -------------------------------------------------------------- #
-    # introspection and lifecycle
+    # lifecycle
     # -------------------------------------------------------------- #
-
-    def stats(self) -> EngineStats:
-        return self._session.stats()
-
-    def stats_snapshot(self) -> EngineStats:
-        return self._session.stats_snapshot()
 
     async def close(self) -> None:
         """Shut the executor down (waiting out in-flight work) and,
@@ -291,11 +195,26 @@ class AsyncSession:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return (
-            f"<AsyncSession {state} max_concurrency={self._max_concurrency} "
-            f"max_queue_depth={self._max_queue_depth} "
-            f"in_flight={self._in_flight} queued={self._queued}>"
-        )
+        return f"<AsyncSession {state} {self._gate!r}>"
+
+
+def _bridge(future: "Future[_T]") -> "asyncio.Future[_T]":
+    """An asyncio future on the running loop that takes ``future``'s
+    outcome. Cancelling it leaves ``future`` alone, since other callers
+    share it."""
+    loop = asyncio.get_running_loop()
+    waiter: "asyncio.Future[_T]" = loop.create_future()
+
+    def copy(done: "Future[_T]") -> None:
+        if not waiter.cancelled():
+            error = done.exception()
+            if error is None:
+                waiter.set_result(done.result())
+            else:
+                waiter.set_exception(error)
+
+    future.add_done_callback(lambda done: loop.call_soon_threadsafe(copy, done))
+    return waiter
 
 
 def open_async_session(*args: Any, **kwargs: Any) -> AsyncSession:

@@ -47,8 +47,9 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -65,9 +66,11 @@ from repro.integration.query import BUILDERS, ExploratoryQuery
 from repro.storage.changes import ChangeSet
 from repro.storage.table import Table
 
-__all__ = ["EngineStats", "RankingEngine"]
+__all__ = ["EngineStats", "RankingEngine", "SingleFlight"]
 
 NodeId = Hashable
+
+_T = TypeVar("_T")
 
 Rankable = Union[QueryGraph, ExploratoryQuery]
 
@@ -174,23 +177,68 @@ class EngineStats:
         )
 
 
-class _InFlightBuild:
-    """One pending traversal shared by every identical concurrent query.
+class SingleFlight:
+    """At most one pending execution per key, shared by identical callers.
 
-    The leader (the caller that registered the entry) performs the
-    traversal; coalesced followers block on :attr:`event` and read
-    either :attr:`result` or :attr:`error` once it is set. Entries are
-    evicted from the engine's in-flight map *before* the event fires,
-    so a follower arriving after completion probes the query cache
-    (success) or starts a fresh cold build (failure) instead.
+    The first caller of a key *leads* and settles the key's
+    :class:`concurrent.futures.Future`; identical callers arriving
+    meanwhile *join* it, threads through ``.result()`` and coroutines
+    through a future on their own event loop. A caller joins only when its
+    start token equals the leader's — the epochs of every mediator the
+    key's execution reads — so a request that started after a write
+    committed never inherits an answer computed before it.
     """
 
-    __slots__ = ("event", "result", "error")
-
     def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Optional[Tuple[QueryGraph, BuildStats]] = None
-        self.error: Optional[BaseException] = None
+        self._lock = threading.Lock()
+        self._flights: Dict[Hashable, Tuple[object, "Future[Any]"]] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether ``key`` has a pending flight (a lock-free peek: the
+        answer may be stale by the time the caller acts on it)."""
+        return key in self._flights
+
+    def join(self, key: Hashable, token: object) -> Tuple["Future[Any]", bool]:
+        """The pending future for ``key`` and whether the caller leads
+        it (a leader must :meth:`settle` it). A flight with another
+        token is not joined: the caller leads a new one instead."""
+        with self._lock:
+            flight = self._flights.get(key)
+            if flight is not None and flight[0] == token:
+                return flight[1], False
+            future: "Future[Any]" = Future()
+            self._flights[key] = (token, future)
+            return future, True
+
+    def settle(
+        self,
+        key: Hashable,
+        future: "Future[Any]",
+        result: object = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Evict the flight, *then* resolve it — a caller arriving after
+        this starts afresh — with ``result``, or ``error`` for every
+        waiter."""
+        with self._lock:
+            flight = self._flights.get(key)
+            if flight is not None and flight[1] is future:
+                del self._flights[key]
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
+
+    def lead(self, key: Hashable, future: "Future[Any]", work: Callable[..., _T], *args: Any) -> _T:
+        """Run the leader's ``work(*args)`` and settle the flight with
+        its outcome."""
+        try:
+            result = work(*args)
+        except BaseException as exc:
+            self.settle(key, future, error=exc)
+            raise
+        self.settle(key, future, result)
+        return result
 
 
 #: one score-cache entry: answer keys plus their float64 scores
@@ -316,12 +364,12 @@ class RankingEngine:
         self._graphs: "OrderedDict[Tuple, Tuple[Mediator, MediatorEpoch, QueryGraph, BuildStats, Optional[ProbeCache]]]" = (
             OrderedDict()
         )
-        #: query-cache key -> the one pending traversal for that key;
-        #: identical queries arriving while it runs await it instead of
-        #: re-traversing (single-flight). Entries live only for the
-        #: duration of one cold build and are evicted on completion or
-        #: failure — a failed build never leaves a stale entry behind.
-        self._inflight: Dict[Tuple, _InFlightBuild] = {}
+        #: query-cache key -> the one pending traversal for that key,
+        #: tagged with its leader's epoch snapshot; identical queries
+        #: that started at the same snapshot await it instead of
+        #: re-traversing (single-flight). A flight lives only for one
+        #: cold build and is evicted on completion or failure.
+        self._inflight = SingleFlight()
 
     # -------------------------------------------------------------- #
     # query execution
@@ -342,11 +390,13 @@ class RankingEngine:
         cold (``graph_misses``).
 
         Identical queries arriving *while* a cold traversal is in
-        flight are coalesced (``coalesced_queries``): they await the
-        one shared traversal instead of re-traversing, so N concurrent
-        identical cold queries cost exactly one graph miss. A failed
-        traversal propagates its error to every coalesced waiter and
-        evicts the pending entry, so the next request retries cold.
+        flight, at the same mediator snapshot it started from, are
+        coalesced (``coalesced_queries``): they await the one shared
+        traversal instead of re-traversing, so N concurrent identical
+        cold queries cost exactly one graph miss. A query that started
+        after a write the traversal may not have seen runs its own. A
+        failed traversal propagates its error to every coalesced waiter
+        and evicts the pending entry, so the next request retries cold.
         """
         return self.execute_with_stats(query, builder=builder)[0]
 
@@ -391,14 +441,7 @@ class RankingEngine:
                 relevant = _read_changes(changes, probe_cache)
                 if not relevant:
                     with self._lock:
-                        if self._graphs.get(key) is cached:
-                            # refresh the snapshot so future probes diff
-                            # the shortest possible change window
-                            self._graphs[key] = (
-                                mediator, snapshot, qg, build_stats, probe_cache
-                            )
-                            self._graphs.move_to_end(key)
-                        self.stats.graph_hits += 1
+                        self._graph_hit(key, cached, snapshot)
                     return qg, build_stats, True
                 if probe_cache is not None and not any(
                     cs.full for cs in relevant.values()
@@ -408,55 +451,37 @@ class RankingEngine:
                     )
                     if repaired is not None:
                         return repaired
-        # cold: join an identical in-flight traversal (single-flight),
-        # or become the leader that performs it. Registration and the
-        # stale-entry eviction are atomic under the cache lock, so for
-        # any key at most one traversal runs at a time.
+        # cold: join an identical traversal that started at this same
+        # snapshot (single-flight), or lead one. A traversal that began
+        # before a write this caller saw committed is never joined.
         with self._lock:
-            flight = self._inflight.get(key)
-            leader = flight is None
+            flight, leader = self._inflight.join(key, snapshot)
             if leader:
-                flight = _InFlightBuild()
-                self._inflight[key] = flight
                 self.stats.graph_misses += 1
                 if cached is not None and self._graphs.get(key) is cached:
                     del self._graphs[key]  # stale: sources changed since execution
             else:
                 self.stats.coalesced_queries += 1
         if not leader:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            assert flight.result is not None
-            qg, build_stats = flight.result
+            qg, build_stats = flight.result()
             return qg, build_stats, True
-        try:
+
+        def build() -> Tuple[QueryGraph, BuildStats]:
+            # cached before the flight is evicted: a request arriving
+            # meanwhile either finds the cache entry or joins the flight
             if self.incremental and chosen_builder == "batched":
                 qg, build_stats, probe_cache = record_build(query, mediator)
             else:
                 qg, build_stats = query.execute(mediator, builder=chosen_builder)
                 probe_cache = None
-        except BaseException as exc:
-            # evict the pending entry *before* waking the waiters: the
-            # next identical request must retry cold, and every
-            # coalesced waiter gets exactly this error
             with self._lock:
-                if self._inflight.get(key) is flight:
-                    del self._inflight[key]
-            flight.error = exc
-            flight.event.set()
-            raise
-        with self._lock:
-            self.stats.queries_executed += 1
-            self._graphs[key] = (mediator, snapshot, qg, build_stats, probe_cache)
-            while len(self._graphs) > self.max_cached_graphs:
-                self._graphs.popitem(last=False)
-            # cache insert and in-flight eviction are atomic: a request
-            # arriving now either finds the cache entry or the flight
-            if self._inflight.get(key) is flight:
-                del self._inflight[key]
-        flight.result = (qg, build_stats)
-        flight.event.set()
+                self.stats.queries_executed += 1
+                self._graphs[key] = (mediator, snapshot, qg, build_stats, probe_cache)
+                while len(self._graphs) > self.max_cached_graphs:
+                    self._graphs.popitem(last=False)
+            return qg, build_stats
+
+        qg, build_stats = self._inflight.lead(key, flight, build)
         return qg, build_stats, False
 
     def serve_cached(
@@ -519,17 +544,18 @@ class RankingEngine:
                 if score_key in self._scores:
                     self._scores.move_to_end(score_key)
                 self.stats.score_hits += 1
-                self.stats.graph_hits += 1
-                if self._graphs.get(key) is cached:
-                    # same snapshot refresh as the ordinary hit path, so
-                    # future probes diff the shortest change window
-                    self._graphs[key] = (
-                        mediator, snapshot, qg, build_stats, probe_cache
-                    )
-                    self._graphs.move_to_end(key)
+                self._graph_hit(key, cached, snapshot)
             return qg, RankedResult(method=canonical, scores=_unpack_scores(entry))
 
         return take
+
+    def _graph_hit(self, key: Tuple, cached: Tuple, snapshot: MediatorEpoch) -> None:
+        """Count a query-cache hit on ``cached`` and refresh its snapshot,
+        so future probes diff the shortest change window (lock held)."""
+        self.stats.graph_hits += 1
+        if self._graphs.get(key) is cached:
+            self._graphs[key] = (cached[0], snapshot, *cached[2:])
+            self._graphs.move_to_end(key)
 
     def _repair(
         self,
@@ -606,15 +632,16 @@ class RankingEngine:
         with self._lock:
             return self.stats.snapshot()
 
-    # hooks for the serving layers: admission gates and the async
+    # hooks for the serving layers: the admission gate and the
     # session's spec-keyed single-flight record their outcomes on the
     # same counters engine-level coalescing uses, so one EngineStats
     # tells the whole serving story
 
     def note_coalesced(self, count: int = 1) -> None:
-        """Record ``count`` executions answered by awaiting an identical
-        in-flight request at a higher layer (e.g. the async session's
-        spec-keyed single-flight)."""
+        """Record ``count`` executions answered by joining an identical
+        in-flight request at a higher layer: the session's spec-keyed
+        single-flight, which every front door (direct, HTTP, async)
+        goes through."""
         with self._lock:
             self.stats.coalesced_queries += count
 

@@ -317,16 +317,24 @@ class WorkerHandle:
 
     def close(self, graceful_timeout: float = 2.0) -> None:
         """Shut the worker down (graceful RPC first, then SIGKILL),
-        reap it, and release the listener + socket file. Idempotent."""
+        reap it, and release the listener + socket file. The worker
+        gets up to ``graceful_timeout`` to answer and exit on its own,
+        so its storage cleanup runs. Idempotent."""
         self.request_shutdown()
         with self._lock:
             if self._released:
                 return
+            deadline = time.monotonic() + graceful_timeout
             if self._conn is not None:
                 try:  # the reply, or EOF as the worker exits
                     self._conn.receive(timeout=graceful_timeout)
                 except rpc.RpcTransportError:
                     pass
+            if self.process is not None:
+                try:
+                    self.process.wait(timeout=max(deadline - time.monotonic(), 0.0))
+                except subprocess.TimeoutExpired:
+                    pass  # _reap kills it
             self._reap()
             self._release_listener()
 

@@ -23,9 +23,9 @@ deterministically unanswerable), transport-and-infrastructure errors to
 ``502``, unknown routes to ``404``, malformed JSON to ``400``, a body
 larger than the configured cap to ``413``, and anything unexpected to
 ``500`` — always with a JSON body carrying
-``{"error": {"type", "message"}}``. When the session's admission gate
-(``EngineConfig.max_queue_depth``) sheds a request, the server answers
-``503`` with a ``Retry-After`` header. Connections that go quiet are
+``{"error": {"type", "message"}}``. The session admits and coalesces
+requests; when its admission gate (``EngineConfig.max_queue_depth``)
+sheds one, the server answers ``503`` with a ``Retry-After`` header. Connections that go quiet are
 dropped after ``request_timeout`` seconds so a stalled client cannot
 pin a handler thread.
 
@@ -200,13 +200,9 @@ class _Handler(BaseHTTPRequestHandler):
                 handler = functools.partial(
                     handler, limit=_checked_limit(payload.pop("limit", None))
                 )
-            gate = self._session().admission
-            if gate is None:
-                status, reply = handler(payload)
-            else:
-                # may shed with OverloadedError -> 503 + Retry-After
-                with gate:
-                    status, reply = handler(payload)
+            # the session admits (and may shed with OverloadedError ->
+            # 503 + Retry-After) and coalesces identical specs
+            status, reply = handler(payload)
             self._reply(status, reply)
         except ReproError as exc:
             headers: Optional[Dict[str, str]] = None

@@ -110,11 +110,11 @@ def run_async_clients(
     return_errors: bool = True,
 ) -> ConcurrentRunReport:
     """Run one asyncio client task per stream against ``session``
-    through a fresh :class:`~repro.async_.AsyncSession` (async sessions
-    bind to one event loop, so each run gets its own; the *sync*
-    session — and with it every cache and counter — persists across
-    runs). Each client awaits its requests in order; clients run
-    concurrently, bounded by the session's admission caps."""
+    through a fresh :class:`~repro.async_.AsyncSession`, closed with
+    the run's event loop (the *sync* session — and with it every
+    cache, counter and flight — persists across runs). Each client
+    awaits its requests in order; clients run concurrently, bounded by
+    the session's admission caps."""
     import asyncio
 
     from repro.async_ import AsyncSession
@@ -168,7 +168,7 @@ def run_threaded_clients(
     """Run one thread per stream against a synchronous
     :class:`~repro.api.Session`. A barrier releases every client at
     once, so the first wave of requests is maximally concurrent — the
-    thundering-herd shape the engine's single-flight must absorb."""
+    thundering-herd shape the session's single-flight must absorb."""
     per_client: List[List[Optional[ResultSet]]] = [[] for _ in streams]
     failures: List[BaseException] = []
     barrier = threading.Barrier(len(streams))

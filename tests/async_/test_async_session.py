@@ -1,9 +1,10 @@
 """AsyncSession: coalescing, admission, lifecycle, error semantics.
 
 Every overlap in these tests is deterministic: the wrapped session's
-``execute`` is replaced with a gated stub that blocks until the test
-releases it, so "identical spec arrives while one is in flight" is a
-controlled state, not a race the scheduler may or may not produce.
+``_gather`` (the execution a flight's leader runs once admitted) is
+replaced with a gated stub that blocks until the test releases it,
+so "identical spec arrives while one is in flight" is a controlled
+state, not a race the scheduler may or may not produce.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def _spec(i=0, method="in_edge"):
 
 
 class _Gate:
-    """Replaces ``session.execute``: every call signals ``started``,
+    """Replaces ``session._gather``: every call signals ``started``,
     then blocks until ``release``; optionally fails."""
 
     def __init__(self, session, fail=None):
-        self._real = session.execute
+        self._real = session._gather
         self.started = threading.Event()
         self.release = threading.Event()
         self.fail = fail
@@ -80,7 +81,7 @@ class TestCoalescing:
         self, session, monkeypatch
     ):
         gate = _Gate(session)
-        monkeypatch.setattr(session, "execute", gate)
+        monkeypatch.setattr(session, "_gather", gate)
         spec = _spec()
         n = 8
 
@@ -91,7 +92,10 @@ class TestCoalescing:
                 followers = [
                     asyncio.create_task(s.execute(spec)) for _ in range(n - 1)
                 ]
-                await _spin(lambda: len(s._pending) == 1 and s.in_flight == 1)
+                await _spin(
+                    lambda: session._inflight._flights.keys() == {spec}
+                    and s.in_flight == 1
+                )
                 # let every follower reach the pending future
                 for _ in range(4):
                     await asyncio.sleep(0)
@@ -112,7 +116,7 @@ class TestCoalescing:
     ):
         boom = RankingError("backend exploded")
         gate = _Gate(session, fail=boom)
-        monkeypatch.setattr(session, "execute", gate)
+        monkeypatch.setattr(session, "_gather", gate)
         spec = _spec()
 
         async def run():
@@ -130,7 +134,7 @@ class TestCoalescing:
                 )
                 # the dead future is gone: the next identical request
                 # retries cold instead of inheriting the stale error
-                assert s._pending == {}
+                assert session._inflight._flights == {}
                 gate.fail = None
                 retry = await s.execute(spec)
                 return outcomes, retry
@@ -139,6 +143,33 @@ class TestCoalescing:
         assert all(outcome is boom for outcome in outcomes)
         assert retry is not None
         assert len(gate.calls) == 2  # herd, then the cold retry
+
+    def test_a_cancelled_follower_leaves_the_flight_alone(
+        self, session, monkeypatch
+    ):
+        gate = _Gate(session)
+        monkeypatch.setattr(session, "_gather", gate)
+        spec = _spec()
+        before = session.stats_snapshot().coalesced_queries
+
+        async def run():
+            async with AsyncSession(session) as s:
+                leader = asyncio.create_task(s.execute(spec))
+                await _spin(lambda: gate.started.is_set())
+                quitter = asyncio.create_task(s.execute(spec))
+                stayer = asyncio.create_task(s.execute(spec))
+                await _spin(
+                    lambda: session.stats_snapshot().coalesced_queries == before + 2
+                )
+                quitter.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await quitter
+                gate.release.set()
+                return await asyncio.gather(leader, stayer)
+
+        led, stayed = asyncio.run(run())
+        assert stayed is led
+        assert len(gate.calls) == 1
 
     def test_execute_many_coalesces_duplicates_in_one_batch(self, session):
         specs = [_spec(0), _spec(1), _spec(0)]
@@ -186,7 +217,7 @@ class TestAdmission:
         )
         session = workload.open_session(config=config)
         gate = _Gate(session)
-        monkeypatch.setattr(session, "execute", gate)
+        monkeypatch.setattr(session, "_gather", gate)
 
         async def run():
             async with AsyncSession(session) as s:
@@ -197,8 +228,8 @@ class TestAdmission:
                 with pytest.raises(OverloadedError) as excinfo:
                     await s.execute(_spec(2))
                 assert excinfo.value.retry_after == 2.0
-                # the shed request left no pending future behind
-                assert len(s._pending) == 2
+                # the shed request left no pending flight behind
+                assert len(session._inflight._flights) == 2
                 gate.release.set()
                 await asyncio.gather(first, second)
                 assert s.in_flight == 0 and s.queued == 0
@@ -218,7 +249,7 @@ class TestAdmission:
         config = EngineConfig(max_concurrency=1, max_queue_depth=None)
         session = workload.open_session(config=config)
         gate = _Gate(session)
-        monkeypatch.setattr(session, "execute", gate)
+        monkeypatch.setattr(session, "_gather", gate)
 
         async def run():
             async with AsyncSession(session) as s:
@@ -290,11 +321,14 @@ class TestLifecycle:
         assert s.closed
         assert s.session.closed  # ownership: open_async_session closes it
 
-    def test_bound_to_one_event_loop(self, session):
+    def test_serves_successive_event_loops(self, session):
+        # no state binds to a loop: flights and admission waits are
+        # concurrent futures, awaited on whichever loop runs the call
         s = AsyncSession(session)
-        asyncio.run(s.execute(_spec()))
-        with pytest.raises(RankingError):
-            asyncio.run(s.execute(_spec()))  # a different loop
+        first = asyncio.run(s.execute(_spec()))
+        second = asyncio.run(s.execute(_spec(1)))  # a different loop
+        assert dict(first.scores) and dict(second.scores)
+        asyncio.run(s.close())
 
 
 class TestAdmissionGate:
@@ -356,3 +390,57 @@ class TestAdmissionGate:
         gate = AdmissionGate(max_in_flight=1)
         with pytest.raises(RuntimeError):
             gate.release()
+
+    def test_freed_slots_go_to_waiters_in_arrival_order(self):
+        gate = AdmissionGate(max_in_flight=1)
+        gate.acquire()
+        order = []
+
+        def waiter(index):
+            with gate:
+                order.append(index)
+
+        threads = []
+        for index in range(3):
+            thread = threading.Thread(target=waiter, args=(index,), daemon=True)
+            thread.start()
+            threads.append(thread)
+            # start the next waiter only once this one is queued
+            asyncio.run(_spin(lambda queued=index + 1: gate.queued == queued))
+        gate.release()
+        for thread in threads:
+            thread.join(5)
+        assert order == [0, 1, 2]
+        assert gate.in_flight == 0 and gate.queued == 0
+
+    def test_awaited_acquire_is_handed_a_slot(self):
+        gate = AdmissionGate(max_in_flight=1)
+
+        async def run():
+            gate.acquire()
+            waiting = asyncio.create_task(gate.acquire_async())
+            await _spin(lambda: gate.queued == 1)
+            # released from another thread: the slot is handed over
+            threading.Thread(target=gate.release).start()
+            await asyncio.wait_for(waiting, 5)
+            assert gate.in_flight == 1 and gate.queued == 0
+            gate.release()
+
+        asyncio.run(run())
+        assert gate.in_flight == 0
+
+    def test_cancelled_await_leaves_the_queue_and_leaks_no_slot(self):
+        gate = AdmissionGate(max_in_flight=1, max_queue_depth=1)
+
+        async def run():
+            gate.acquire()
+            waiting = asyncio.create_task(gate.acquire_async())
+            await _spin(lambda: gate.queued == 1)
+            waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+            assert gate.queued == 0
+            gate.release()
+
+        asyncio.run(run())
+        assert gate.in_flight == 0 and gate.queued == 0

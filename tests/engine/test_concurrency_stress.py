@@ -107,7 +107,7 @@ def test_execute_invalidate_stats_race():
     # cache invariants: caps respected, nothing left in flight
     assert len(engine._graphs) <= engine.max_cached_graphs
     assert len(engine._scores) <= engine.max_cached_scores
-    assert engine._inflight == {}
+    assert engine._inflight._flights == {}
 
     # counters only ever grow — any torn/lost update under the lock
     # would show up as a dip between consecutive snapshots

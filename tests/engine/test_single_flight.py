@@ -98,7 +98,7 @@ class TestEngineSingleFlight:
         assert engine.stats.coalesced_queries == n - 1
         # every waiter got the leader's graph, not a copy
         assert all(qg is results[0] for qg in results)
-        assert engine._inflight == {}
+        assert engine._inflight._flights == {}
 
     def test_failed_traversal_propagates_to_every_waiter(self):
         workload = mediated_layers(layers=3, width=12, fan_out=3, rng=5)
@@ -112,7 +112,7 @@ class TestEngineSingleFlight:
         assert all(result is None for result in results)
         assert all(error is boom for error in errors)
         # the failed flight is gone: nothing cached, nothing pending
-        assert engine._inflight == {}
+        assert engine._inflight._flights == {}
         assert engine.stats.graph_misses == 1
 
         # the next identical request retries cold instead of awaiting a

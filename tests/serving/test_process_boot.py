@@ -86,6 +86,18 @@ class TestFleetLifecycle:
         assert {("reap", 0), ("reap", 1)} <= set(order[2:])
         session.close()  # idempotent
 
+    def test_close_lets_every_worker_exit_on_its_own(self, workload, process_config):
+        # a worker that answered its shutdown is waited for, not killed,
+        # so its storage cleanup runs to completion: exit code 0, not -9
+        codes = []
+        for _ in range(2):
+            session = workload.open_session(config=process_config)
+            session.execute(workload.spec(method="in_edge"))
+            processes = [handle.process for handle in session.process_engine.workers]
+            session.close()
+            codes += [process.returncode for process in processes]
+        assert codes == [0, 0, 0, 0]
+
     def test_repair_runs_on_the_scatter_pool(
         self, workload, process_config, monkeypatch
     ):
