@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     List,
@@ -44,6 +42,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -61,7 +60,7 @@ from repro.core.graph import QueryGraph
 from repro.core.ranker import RankedResult
 from repro.engine.ranking import EngineStats, RankingEngine, SingleFlight
 from repro.engine.sharded import GatherResult, HashPartitioner, ShardedEngine, ShardRouter
-from repro.errors import QueryError, RankingError, ReproError
+from repro.errors import OverloadedError, QueryError, RankingError, ReproError
 from repro.integration.builder import BuildStats
 from repro.integration.mediator import Mediator
 from repro.integration.probability import ConfidenceRegistry
@@ -70,6 +69,7 @@ from repro.integration.sources import DataSource
 __all__ = ["Explanation", "Session", "open_session"]
 
 SpecLike = Union[QuerySpec, Query, Mapping[str, object]]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,9 @@ class Session:
         Built from ``config.max_concurrency`` /
         ``config.max_queue_depth`` / ``config.retry_after`` and wired to
         the engine's queued/shed counters. Every front door admits
-        through it: once per flight leader, batch or explanation."""
+        through it once per flight leader, batch or explanation; not a
+        cache-resident request, nor a call made inside
+        ``with session.admission:`` on the same thread."""
         return self._admission
 
     def register(self, *sources: DataSource) -> "Session":
@@ -353,34 +355,44 @@ class Session:
             ...     results[0].entity_set, len(results) > 0
             ('E1', True)
 
-        Identical concurrent specs that started at the same mediator
-        epochs share one execution, result or error (single-flight);
-        only the flight's leader is admitted through :attr:`admission`.
+        A cache-resident spec is served from the caches; identical
+        concurrent specs started at the same mediator epochs share one
+        execution, admitted once through :attr:`admission`.
         """
-        self._check_open()
         spec = self._coerce(spec)
+        cached = self.try_cached(spec)  # checks the session is open
+        if cached is not None:
+            return cached
         flight, leader = self._join(spec)
-        if not leader:
-            return flight.result()
-        return self._inflight.lead(spec, flight, self._admitted_gather, spec)
+        if leader:
+            return self._inflight.lead(spec, flight, self._admitted, self._gather, spec)
+        return flight.result()
 
     def _join(self, spec: QuerySpec) -> Tuple["Future[ResultSet]", bool]:
-        """Join ``spec``'s flight, tokened by the epochs of the mediators
-        it reads, or lead one; a follower counts as coalesced."""
+        """Join or lead ``spec``'s flight (token: the epochs of the
+        mediators it reads); a follower counts as coalesced, or as shed
+        when its leader is."""
         router = self._scatter.router
         token = [router.mediators[shard].epoch for shard in router.relevant_shards(spec)]
         flight, leader = self._inflight.join(spec, token)
         if not leader:
             self._engine.note_coalesced()
+            flight.add_done_callback(self._recount_shed)
         return flight, leader
 
-    def _admitted(self) -> ContextManager[object]:
-        """One admission through :attr:`admission`, if bounded."""
-        return nullcontext() if self._admission is None else self._admission
+    def _recount_shed(self, flight: "Future[ResultSet]") -> None:
+        if isinstance(flight.exception(), OverloadedError):
+            self._engine.note_coalesced(-1)
+            self._engine.note_shed()
 
-    def _admitted_gather(self, spec: QuerySpec) -> ResultSet:
-        with self._admitted():
-            return self._gather(spec)
+    def _admitted(self, fn: Callable[..., _T], *args: object) -> _T:
+        """``fn(*args)`` under one admission through :attr:`admission`,
+        unless unbounded or the calling thread holds a slot already."""
+        gate = self._admission
+        if gate is None or gate.held():
+            return fn(*args)
+        with gate:
+            return fn(*args)
 
     def _gather(self, spec: QuerySpec) -> ResultSet:
         """``spec`` executed, neither admitted nor coalesced."""
@@ -390,14 +402,15 @@ class Session:
         """Serve ``spec`` entirely from the engine caches, or report
         ``None`` without executing anything.
 
-        The async session's inline fast path: a fully cache-resident
-        request is a few dictionary probes, cheap enough to answer on
-        the event loop instead of paying an executor round trip. The
-        result is bit-identical to :meth:`execute` (same cached scores,
-        same graph). Process-sharded sessions always report ``None`` —
-        their caches live in the worker processes."""
+        The warm path of every front door: a few dictionary probes,
+        bit-identical to :meth:`execute` (same cached scores, same
+        graph). Process-sharded sessions always report ``None`` — their
+        caches live in the worker processes — and so does a spec with a
+        flight pending (it is not cache-resident yet)."""
         self._check_open()
         spec = self._coerce(spec)
+        if spec in self._inflight:
+            return None
         gathered = self._scatter.serve_cached(spec)
         return None if gathered is None else self._result(gathered, spec=spec)
 
@@ -444,23 +457,8 @@ class Session:
             groups.setdefault(spec.traversal_signature, []).append(spec)
         group_list = list(groups.values())
 
-        run = self._scatter.gather_group
-        workers = self._config.max_workers if max_workers is None else max_workers
-        with self._admitted():  # one admission per batch
-            if workers > 1 and len(group_list) > 1:
-                if workers == self._config.max_workers:
-                    # the session's persistent pool — hoisted out of the
-                    # call so repeated batches stop paying thread
-                    # spawn/teardown on every invocation
-                    group_results = list(self._executor().map(run, group_list))
-                else:
-                    # an explicit non-default width gets a transient pool
-                    # of exactly that size
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        group_results = list(pool.map(run, group_list))
-            else:
-                group_results = [run(group) for group in group_list]
-
+        # one admission per batch
+        group_results = self._admitted(self._gather_groups, group_list, max_workers)
         for group, gathered in zip(group_list, group_results):
             for spec, outcome in zip(group, gathered):
                 if isinstance(outcome, GatherResult):
@@ -472,6 +470,23 @@ class Session:
                 if isinstance(outcome, BaseException):
                     raise outcome
         return results  # type: ignore[return-value]
+
+    def _gather_groups(
+        self, group_list: List[List[QuerySpec]], max_workers: Optional[int]
+    ) -> List[List[Union[GatherResult, ReproError]]]:
+        run = self._scatter.gather_group
+        workers = self._config.max_workers if max_workers is None else max_workers
+        if workers > 1 and len(group_list) > 1:
+            if workers == self._config.max_workers:
+                # the session's persistent pool — hoisted out of the
+                # call so repeated batches stop paying thread
+                # spawn/teardown on every invocation
+                return list(self._executor().map(run, group_list))
+            # an explicit non-default width gets a transient pool of
+            # exactly that size
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(run, group_list))
+        return [run(group) for group in group_list]
 
     def _executor(self) -> ThreadPoolExecutor:
         """The session's persistent spec-group pool (lazily created,
@@ -537,8 +552,7 @@ class Session:
             (False, True, True)
         """
         self._check_open()
-        with self._admitted():
-            return self._explain(spec)
+        return self._admitted(self._explain, spec)
 
     def _explain(self, spec: SpecLike) -> Explanation:
         """:meth:`explain` without admission."""

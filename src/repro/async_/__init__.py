@@ -5,7 +5,7 @@ whose serving policy every front door (direct, HTTP, async) shares:
 one single-flight key — identical specs started at the same mediator
 epochs share one execution, and followers are never admitted — and one
 :class:`AdmissionGate` (``max_concurrency`` slots, ``max_queue_depth``
-waiters in FIFO order, sync or awaited; overload is an
+waiters in FIFO order, blocking or queued; overload is an
 :class:`~repro.errors.OverloadedError`, HTTP 503 at the front door).
 :class:`AsyncSession` adds only the executor hop, so its results are
 bit-identical to the sync path.

@@ -1,24 +1,20 @@
 """Bounded admission control shared by every front door.
 
 :class:`AdmissionGate` is a thread-safe counting gate with two caps:
-
-* ``max_in_flight`` — how many requests may *execute* concurrently;
-* ``max_queue_depth`` — how many more may *wait* for a slot. ``None``
-  means wait without bound (no shedding); an arriving request that
-  finds the queue full is refused immediately with a typed
-  :class:`~repro.errors.OverloadedError` carrying the configured
-  ``retry_after`` hint.
-
-A freed slot goes to the longest waiter (FIFO), whether it blocks a
-thread (``with gate:``) or awaits on an event loop
-(:meth:`AdmissionGate.acquire_async`). The session's gate
-(``session.admission``) admits each single-flight leader once, for
-every front door; followers are never admitted.
+``max_in_flight`` requests may *execute* at once and
+``max_queue_depth`` more may *wait* (``None``: without bound). An
+arrival that finds the queue full is refused at once with an
+:class:`~repro.errors.OverloadedError` carrying the ``retry_after``
+hint. A freed slot goes to the longest waiter (FIFO), whether a thread
+blocks for it (``with gate:``) or queued for it without waiting
+(:meth:`AdmissionGate.admit`, as the async session does). The
+session's gate (``session.admission``) admits each single-flight
+leader once; followers are never admitted, and neither is a call made
+inside a ``with session.admission:`` block on the same thread.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -28,16 +24,15 @@ from repro.errors import OverloadedError
 
 __all__ = ["AdmissionGate"]
 
+#: what :meth:`AdmissionGate.admit` returns when a slot is free
+_ADMITTED: "Future[None]" = Future()
+_ADMITTED.set_result(None)
+
 
 class AdmissionGate:
-    """A bounded admission gate for threads and coroutines alike.
+    """A bounded admission gate: ``with gate:`` around one request's
+    execution, or ``gate.admit()`` … ``gate.release()``.
 
-    Use as a context manager around one request's execution::
-
-        with session.admission:          # may raise OverloadedError
-            ...
-
-    or ``await gate.acquire_async()`` … ``gate.release()``.
     ``on_queued`` / ``on_shed`` mirror outcomes onto
     :class:`~repro.engine.EngineStats`; they run under the gate's lock,
     so they must not call back into the gate.
@@ -68,6 +63,8 @@ class AdmissionGate:
         self._in_flight = 0
         #: queued requests, oldest first, each resolved by a handed slot
         self._waiters: Deque["Future[None]"] = deque()
+        #: per thread: how many ``with gate:`` blocks it is inside
+        self._held = threading.local()
 
     @property
     def in_flight(self) -> int:
@@ -81,14 +78,16 @@ class AdmissionGate:
         with self._lock:
             return len(self._waiters)
 
-    def _enter(self) -> "Optional[Future[None]]":
-        """Take a free slot (``None``) or a place in the queue (a
-        future resolved by a handed slot); shed when the queue is full."""
+    def admit(self) -> "Future[None]":
+        """Take a slot, or a place in the queue, without waiting: a
+        future resolved once the caller holds a slot (already resolved
+        if one was free); raises :class:`OverloadedError` when the queue
+        is full. The holder must :meth:`release` the slot."""
         with self._lock:
             # slots are handed over while anyone waits: free means empty
             if self._in_flight < self.max_in_flight:
                 self._in_flight += 1
-                return None
+                return _ADMITTED
             queued = len(self._waiters)
             if self.max_queue_depth is not None and queued >= self.max_queue_depth:
                 if self._on_shed is not None:
@@ -110,35 +109,21 @@ class AdmissionGate:
     def _abandon(self, waiter: "Future[None]") -> None:
         """Leave the queue after an interrupted wait, giving back the
         slot if one was already handed over."""
+        if not waiter.cancel():
+            self.release()  # the slot was handed over already
+            return
         with self._lock:
             if waiter in self._waiters:
                 self._waiters.remove(waiter)
-                return
-        if not waiter.cancelled():
-            self.release()
 
     def acquire(self) -> None:
         """Take one execution slot, blocking in the admission queue if
         none is free; raises :class:`OverloadedError` when the queue is
         full. Every successful acquire must be paired with
         :meth:`release`."""
-        waiter = self._enter()
-        if waiter is None:
-            return
+        waiter = self.admit()
         try:
             waiter.result()
-        except BaseException:
-            self._abandon(waiter)
-            raise
-
-    async def acquire_async(self) -> None:
-        """:meth:`acquire` for coroutines: waits without blocking the
-        event loop, and leaves the queue if the wait is cancelled."""
-        waiter = self._enter()
-        if waiter is None:
-            return
-        try:
-            await asyncio.wrap_future(waiter)
         except BaseException:
             self._abandon(waiter)
             raise
@@ -146,22 +131,32 @@ class AdmissionGate:
     def release(self) -> None:
         """Give an execution slot back: hand it to the oldest queued
         request, or free it when none waits."""
-        with self._lock:
-            if self._in_flight <= 0:
-                raise RuntimeError("release() without a matching acquire()")
-            while self._waiters:
-                waiter = self._waiters.popleft()
-                # a waiter cancelled on its event loop is skipped
-                if waiter.set_running_or_notify_cancel():
-                    waiter.set_result(None)
+        while True:
+            with self._lock:
+                if self._in_flight <= 0:
+                    raise RuntimeError("release() without a matching acquire()")
+                if not self._waiters:
+                    self._in_flight -= 1
                     return
-            self._in_flight -= 1
+                waiter = self._waiters.popleft()
+            # outside the lock: an admit() callback may release in turn;
+            # a cancelled waiter is skipped
+            if waiter.set_running_or_notify_cancel():
+                waiter.set_result(None)
+                return
+
+    def held(self) -> bool:
+        """Whether the calling thread is inside a ``with gate:`` block
+        (the session does not admit its calls a second time)."""
+        return getattr(self._held, "depth", 0) > 0
 
     def __enter__(self) -> "AdmissionGate":
         self.acquire()
+        self._held.depth = getattr(self._held, "depth", 0) + 1
         return self
 
     def __exit__(self, *exc_info: object) -> None:
+        self._held.depth -= 1
         self.release()
 
     def __repr__(self) -> str:

@@ -2,35 +2,28 @@
 
 :class:`AsyncSession` wraps a synchronous :class:`~repro.api.Session`
 and exposes ``execute`` / ``execute_many`` / ``explain`` as
-coroutines. Blocking work (storage probes, graph builds, kernel
-scoring) runs on a dedicated executor sized to the session's
-``max_concurrency``, so storage I/O of one request overlaps kernel
-scoring of another while the event loop stays responsive.
-
-The facade keeps only that executor hop; the serving policy is the
-session's. ``execute`` joins the session's spec-keyed single-flight,
-so async, HTTP and direct callers of one spec share one execution and
-one :class:`~repro.api.ResultSet` (a follower takes no executor thread
-and no slot). A fully cache-resident spec with no flight pending is
-answered inline on the loop; a leader awaits one slot of the
-session's admission gate (or, if the session has none, a
-queue-unbounded gate of ``max_concurrency`` slots) and runs on the
-executor.
-
-Results are bit-identical to the sync path by construction: the async
-layer delegates to the very same session methods.
+coroutines. It keeps only an executor hop (``max_concurrency`` wide,
+so one request's storage I/O overlaps another's scoring while the loop
+stays responsive); the serving policy is the session's. A
+cache-resident spec is answered inline, identical specs join the
+session's single-flight with HTTP and direct callers, and each flight
+leader queues at the session's admission gate (or an unbounded one of
+its own) and then runs on the executor. Results are bit-identical to
+the sync path: the same session methods run.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable, Iterable, List, TypeVar, Union
 
 from repro.api.result import ResultSet
 from repro.api.session import Explanation, Session, SpecLike, open_session
 from repro.async_.admission import AdmissionGate
-from repro.errors import RankingError, ReproError
+from repro.engine.ranking import resolve
+from repro.errors import OverloadedError, RankingError, ReproError
 
 __all__ = ["AsyncSession", "open_async_session"]
 
@@ -44,11 +37,9 @@ class AsyncSession:
     session) or directly around an existing session
     (``AsyncSession(session)`` — the caller keeps ownership unless
     ``own_session=True``). Use as an async context manager; closing
-    shuts the executor down and, when owned, closes the session.
-
-    No state binds to an event loop: flights and admission waits are
-    :class:`concurrent.futures.Future`\\ s, awaited on whichever loop
-    the call runs on.
+    shuts the executor down and, when owned, closes the session. No
+    state binds to an event loop: every wait is on a
+    :class:`concurrent.futures.Future`, bridged to the caller's loop.
     """
 
     def __init__(self, session: Session, own_session: bool = False) -> None:
@@ -73,8 +64,7 @@ class AsyncSession:
 
     @property
     def session(self) -> Session:
-        """The wrapped synchronous session (its config, caches, stats
-        and flights)."""
+        """The wrapped session (its config, caches, stats and flights)."""
         return self._session
 
     @property
@@ -87,18 +77,33 @@ class AsyncSession:
         """Requests currently waiting for an execution slot."""
         return self._gate.queued
 
-    async def _run(self, fn: Callable[..., _T], *args: Any) -> _T:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
+    def _admitted(
+        self, settle: Callable[..., None], fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """Run ``fn(*args)`` on the executor once the gate admits it,
+        then ``settle(result, error)``, slot released. The run belongs to
+        no coroutine: cancelling one that awaits it cancels only that
+        wait. A shed, or a close while queued, settles as the error."""
 
-    async def _admitted(self, fn: Callable[..., _T], *args: Any) -> _T:
-        """Run ``fn(*args)`` on the executor while holding one slot."""
-        await self._gate.acquire_async()
-        try:
-            return await self._run(fn, *args)
-        finally:
+        def run() -> None:
+            try:
+                result, error = fn(*args), None
+            except BaseException as exc:
+                result, error = None, exc
             self._gate.release()
+            settle(result, error)
+
+        def start(_: object) -> None:
+            try:
+                self._executor.submit(run)
+            except RuntimeError:  # the executor shut down while queued
+                self._gate.release()
+                settle(None, RankingError("this async session is closed"))
+
+        try:
+            self._gate.admit().add_done_callback(start)
+        except OverloadedError as exc:
+            settle(None, exc)
 
     # -------------------------------------------------------------- #
     # execution
@@ -111,24 +116,15 @@ class AsyncSession:
         :meth:`~repro.api.Session.execute`."""
         self._check_open()
         coerced = Session._coerce(spec)
-        flights = self._session._inflight
-        if coerced not in flights:
-            # inline fast path: a fully cache-resident request is a few
-            # dictionary probes — answer it on the event loop rather
-            # than paying a flight, an executor round trip and a slot
-            fast = self._session.try_cached(coerced)
-            if fast is not None:
-                return fast
+        # a cache-resident spec is answered inline: no flight, no slot
+        cached = self._session.try_cached(coerced)
+        if cached is not None:
+            return cached
         flight, leader = self._session._join(coerced)
-        if not leader:
-            return await _bridge(flight)
-        try:
-            result = await self._admitted(self._session._gather, coerced)
-        except BaseException as exc:
-            flights.settle(coerced, flight, error=exc)
-            raise
-        flights.settle(coerced, flight, result)
-        return result
+        if leader:
+            settle = partial(self._session._inflight.settle, coerced, flight)
+            self._admitted(settle, self._session._gather, coerced)
+        return await _bridge(flight)
 
     async def execute_many(
         self,
@@ -159,7 +155,9 @@ class AsyncSession:
         (admitted; never coalesced — an explanation reports *this
         call's* cache provenance)."""
         self._check_open()
-        return await self._admitted(self._session._explain, spec)
+        done: "Future[Explanation]" = Future()
+        self._admitted(partial(resolve, done), self._session._explain, spec)
+        return await _bridge(done)
 
     # -------------------------------------------------------------- #
     # lifecycle
@@ -213,7 +211,11 @@ def _bridge(future: "Future[_T]") -> "asyncio.Future[_T]":
             else:
                 waiter.set_exception(error)
 
-    future.add_done_callback(lambda done: loop.call_soon_threadsafe(copy, done))
+    def relay(done: "Future[_T]") -> None:
+        if not loop.is_closed():  # else nobody waits any more
+            loop.call_soon_threadsafe(copy, done)
+
+    future.add_done_callback(relay)
     return waiter
 
 

@@ -177,16 +177,22 @@ class EngineStats:
         )
 
 
+def resolve(future: "Future[Any]", result: object, error: Optional[BaseException]) -> None:
+    """Resolve ``future`` with ``result``, or ``error`` if one is given."""
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+
+
 class SingleFlight:
     """At most one pending execution per key, shared by identical callers.
 
     The first caller of a key *leads* and settles the key's
-    :class:`concurrent.futures.Future`; identical callers arriving
-    meanwhile *join* it, threads through ``.result()`` and coroutines
-    through a future on their own event loop. A caller joins only when its
-    start token equals the leader's — the epochs of every mediator the
-    key's execution reads — so a request that started after a write
-    committed never inherits an answer computed before it.
+    :class:`concurrent.futures.Future`; identical callers *join* it. A
+    caller joins only when its start token (the epochs of the mediators
+    the execution reads) equals the leader's, so a request that started
+    after a write committed never inherits an answer computed before it.
     """
 
     def __init__(self) -> None:
@@ -194,8 +200,7 @@ class SingleFlight:
         self._flights: Dict[Hashable, Tuple[object, "Future[Any]"]] = {}
 
     def __contains__(self, key: Hashable) -> bool:
-        """Whether ``key`` has a pending flight (a lock-free peek: the
-        answer may be stale by the time the caller acts on it)."""
+        """Whether ``key`` has a flight pending (a lock-free peek)."""
         return key in self._flights
 
     def join(self, key: Hashable, token: object) -> Tuple["Future[Any]", bool]:
@@ -224,10 +229,7 @@ class SingleFlight:
             flight = self._flights.get(key)
             if flight is not None and flight[1] is future:
                 del self._flights[key]
-        if error is None:
-            future.set_result(result)
-        else:
-            future.set_exception(error)
+        resolve(future, result, error)
 
     def lead(self, key: Hashable, future: "Future[Any]", work: Callable[..., _T], *args: Any) -> _T:
         """Run the leader's ``work(*args)`` and settle the flight with
@@ -389,14 +391,12 @@ class RankingEngine:
         confidence tuning and overflowed change logs re-materialise
         cold (``graph_misses``).
 
-        Identical queries arriving *while* a cold traversal is in
-        flight, at the same mediator snapshot it started from, are
-        coalesced (``coalesced_queries``): they await the one shared
-        traversal instead of re-traversing, so N concurrent identical
-        cold queries cost exactly one graph miss. A query that started
-        after a write the traversal may not have seen runs its own. A
-        failed traversal propagates its error to every coalesced waiter
-        and evicts the pending entry, so the next request retries cold.
+        Identical queries arriving *while* a cold traversal that started
+        at their mediator snapshot is in flight await it
+        (``coalesced_queries``), so N concurrent identical cold queries
+        cost one graph miss; one that started after a write runs its
+        own. A failed traversal's error reaches every waiter, and the
+        pending entry is evicted so the next request retries cold.
         """
         return self.execute_with_stats(query, builder=builder)[0]
 
@@ -424,33 +424,21 @@ class RankingEngine:
         # next probe re-examines it instead of missing it
         snapshot = mediator.epoch_snapshot()
         key = (query.signature, chosen_builder)
-        with self._lock:
-            cached = self._graphs.get(key)
-        if cached is not None:
-            # the entry must come from *this* mediator (the attribute is
-            # public and reassignable); `changes_since` then reports
-            # None on structural change, or exactly which bound tables
-            # moved since the entry's snapshot
-            entry_mediator, entry_snapshot, qg, build_stats, probe_cache = cached
-            changes = (
-                mediator.changes_since(entry_snapshot)
-                if entry_mediator is mediator
-                else None
-            )
-            if changes is not None:
-                relevant = _read_changes(changes, probe_cache)
-                if not relevant:
-                    with self._lock:
-                        self._graph_hit(key, cached, snapshot)
-                    return qg, build_stats, True
-                if probe_cache is not None and not any(
-                    cs.full for cs in relevant.values()
-                ):
-                    repaired = self._repair(
-                        key, cached, query, mediator, snapshot, relevant
-                    )
-                    if repaired is not None:
-                        return repaired
+        cached, relevant = self._probe(key, mediator)
+        if relevant is not None:
+            qg, build_stats, probe_cache = cached[2:]
+            if not relevant:
+                with self._lock:
+                    self._graph_hit(key, cached, snapshot)
+                return qg, build_stats, True
+            if probe_cache is not None and not any(
+                cs.full for cs in relevant.values()
+            ):
+                repaired = self._repair(
+                    key, cached, query, mediator, snapshot, relevant
+                )
+                if repaired is not None:
+                    return repaired
         # cold: join an identical traversal that started at this same
         # snapshot (single-flight), or lead one. A traversal that began
         # before a write this caller saw committed is never joined.
@@ -495,15 +483,13 @@ class RankingEngine:
         """How to serve ``query`` + ``method`` entirely from the caches,
         or ``None`` without doing any work.
 
-        This is the probe behind the async session's inline fast path:
-        a fully cache-resident request costs a few dictionary probes,
-        which is cheap enough to answer on the event loop instead of
-        paying an executor round trip. Finding counts nothing; calling
-        the returned function serves the graph and its ranking and
-        counts one ``graph_hit`` + one ``score_hit``. A ``None`` outcome
-        leaves every counter untouched for the ordinary path to account,
-        and a scatter takes its shards' hits only once every relevant
-        shard has one, so a partial hit counts nowhere.
+        This is the probe behind every front door's warm path, a few
+        dictionary probes. Finding counts nothing; calling the returned
+        function serves the graph and its ranking and counts one
+        ``graph_hit`` + one ``score_hit``. A ``None`` outcome leaves
+        every counter untouched for the ordinary path to account, and a
+        scatter takes its shards' hits only once every relevant shard
+        has one, so a partial hit counts nowhere.
         """
         if (
             self.mediator is None
@@ -514,30 +500,19 @@ class RankingEngine:
         mediator = self.mediator
         snapshot = mediator.epoch_snapshot()
         key = (query.signature, builder or self.builder)
-        with self._lock:
-            cached = self._graphs.get(key)
-        if cached is None:
-            return None
-        entry_mediator, entry_snapshot, qg, build_stats, probe_cache = cached
-        if entry_mediator is not mediator:
-            return None
-        changes = mediator.changes_since(entry_snapshot)
-        if changes is None or _read_changes(changes, probe_cache):
+        cached, relevant = self._probe(key, mediator)
+        if relevant is None or relevant:
             return None  # repair or rebuild territory: not a fast path
+        qg = cached[2]
         canonical = resolve_method(method)
         with self._lock:
             compiled = self._compiled.get(qg)
-        if compiled is None:
-            return None  # never compiled: scoring would be real work
-        score_key = self._cache_key(
-            compiled.fingerprint, canonical, backend or self.backend, options
-        )
-        if score_key is None:
-            return None
-        with self._lock:
-            entry = self._scores.get(score_key)
+            score_key = None if compiled is None else self._cache_key(
+                compiled.fingerprint, canonical, backend or self.backend, options
+            )
+            entry = None if score_key is None else self._scores.get(score_key)
         if entry is None:
-            return None
+            return None  # not compiled, not cacheable or not scored: real work
 
         def take() -> Tuple[QueryGraph, RankedResult]:
             with self._lock:
@@ -548,6 +523,20 @@ class RankingEngine:
             return qg, RankedResult(method=canonical, scores=_unpack_scores(entry))
 
         return take
+
+    def _probe(
+        self, key: Tuple, mediator: Mediator
+    ) -> Tuple[Optional[Tuple], Optional[Dict[Table, ChangeSet]]]:
+        """The query-cache entry at ``key`` and the changes it must answer
+        for (:func:`_read_changes`), or ``None`` for those when it is
+        missing, from another mediator (the attribute is public and
+        reassignable) or behind a structural change."""
+        with self._lock:
+            cached = self._graphs.get(key)
+        if cached is None or cached[0] is not mediator:
+            return cached, None
+        changes = mediator.changes_since(cached[1])
+        return cached, None if changes is None else _read_changes(changes, cached[4])
 
     def _graph_hit(self, key: Tuple, cached: Tuple, snapshot: MediatorEpoch) -> None:
         """Count a query-cache hit on ``cached`` and refresh its snapshot,
@@ -632,16 +621,12 @@ class RankingEngine:
         with self._lock:
             return self.stats.snapshot()
 
-    # hooks for the serving layers: the admission gate and the
-    # session's spec-keyed single-flight record their outcomes on the
-    # same counters engine-level coalescing uses, so one EngineStats
-    # tells the whole serving story
+    # hooks for the admission gate and the session's spec-keyed
+    # single-flight: one EngineStats tells the whole serving story
 
     def note_coalesced(self, count: int = 1) -> None:
-        """Record ``count`` executions answered by joining an identical
-        in-flight request at a higher layer: the session's spec-keyed
-        single-flight, which every front door (direct, HTTP, async)
-        goes through."""
+        """Record ``count`` requests that joined an identical one in the
+        session's spec-keyed single-flight (every front door's)."""
         with self._lock:
             self.stats.coalesced_queries += count
 
@@ -652,8 +637,8 @@ class RankingEngine:
             self.stats.queued_queries += count
 
     def note_shed(self, count: int = 1) -> None:
-        """Record ``count`` admissions refused because the admission
-        queue was full."""
+        """Record ``count`` requests refused because the admission queue
+        was full (with the followers of a refused flight leader)."""
         with self._lock:
             self.stats.shed_queries += count
 

@@ -25,9 +25,9 @@ larger than the configured cap to ``413``, and anything unexpected to
 ``500`` — always with a JSON body carrying
 ``{"error": {"type", "message"}}``. The session admits and coalesces
 requests; when its admission gate (``EngineConfig.max_queue_depth``)
-sheds one, the server answers ``503`` with a ``Retry-After`` header. Connections that go quiet are
-dropped after ``request_timeout`` seconds so a stalled client cannot
-pin a handler thread.
+sheds one, the server answers ``503`` with a ``Retry-After`` header.
+Connections that go quiet are dropped after ``request_timeout``
+seconds so a stalled client cannot pin a handler thread.
 
 Run it from the command line via ``python -m repro.serving`` (see
 :mod:`repro.serving.__main__`).

@@ -12,6 +12,10 @@ identical request then runs on its own (it finishes while the leader
 is still held) and equals a cold, cache-free session. Checked at the
 engine's ``(signature, builder)`` key, at the session's spec key, and
 through ``AsyncSession``.
+
+Admission: a warm request takes neither the flight nor the gate, a
+call already inside ``with session.admission:`` is not admitted again,
+and the followers of a shed leader count as shed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import repro.engine.ranking as ranking
 from repro.api import EngineConfig, RankingOptions
 from repro.async_ import AsyncSession
 from repro.engine import RankingEngine
+from repro.errors import OverloadedError
 from repro.serving.server import serve
 from repro.workloads import mediated_layers
 
@@ -274,3 +279,80 @@ class TestStaleJoin:
         fresh = _cold_scores(workload, spec)
         assert dict(late.scores) == fresh
         assert dict(stale.scores) != fresh
+
+
+class TestAdmission:
+    """Who the session's gate admits: flight leaders, not warm hits,
+    and never twice on one thread."""
+
+    _ONE_SLOT = EngineConfig(max_concurrency=1, max_queue_depth=0)
+
+    def test_warm_request_skips_the_flight_and_the_gate(self, workload):
+        spec = workload.spec(method="in_edge")
+        with workload.open_session(config=self._ONE_SLOT) as session:
+            reference = session.execute(spec)  # warm graph + score caches
+            session.admission.acquire()  # a full gate would shed a leader
+            try:
+                before = session.stats_snapshot()
+                warm = session.execute(spec)
+                after = session.stats_snapshot()
+            finally:
+                session.admission.release()
+        assert dict(warm.scores) == dict(reference.scores)
+        assert after.score_hits - before.score_hits == 1
+        assert after.shed_queries == before.shed_queries
+
+    def test_call_inside_with_admission_is_admitted_once(self, workload):
+        spec = workload.spec(method="in_edge")
+        with workload.open_session(config=self._ONE_SLOT) as session:
+            gate = session.admission
+            with gate:
+                # the caller holds the only slot: a second admission
+                # would be shed (or, with a queue, wait on itself)
+                results = session.execute(spec)
+                batch = session.execute_many([workload.spec(method="path_count")])
+                assert gate.in_flight == 1
+            assert gate.in_flight == 0
+            assert session.stats_snapshot().shed_queries == 0
+        assert dict(results.scores) and dict(batch[0].scores)
+
+    def test_followers_of_a_shed_flight_count_as_shed(self, workload, monkeypatch):
+        spec = workload.spec(method="in_edge")
+        with workload.open_session(config=self._ONE_SLOT) as session:
+            gate = session.admission
+            gate.acquire()  # the leader will find the gate full
+            entered, proceed = threading.Event(), threading.Event()
+            acquire = gate.acquire
+
+            def held_acquire():
+                # the leader reaches admission only after the followers
+                # have joined its flight
+                entered.set()
+                assert proceed.wait(10)
+                acquire()
+
+            monkeypatch.setattr(gate, "acquire", held_acquire)
+            errors = []
+
+            def client():
+                try:
+                    session.execute(spec)
+                except OverloadedError as exc:
+                    errors.append(exc)
+
+            before = session.stats_snapshot()
+            threads = [threading.Thread(target=client, daemon=True) for _ in range(3)]
+            threads[0].start()
+            assert entered.wait(10)
+            for thread in threads[1:]:
+                thread.start()
+            assert _wait_for(lambda: _coalesced(session) - before.coalesced_queries == 2)
+            proceed.set()
+            for thread in threads:
+                thread.join(10)
+            after = session.stats_snapshot()
+            monkeypatch.undo()
+            gate.release()
+        assert len(errors) == 3  # three 503s ...
+        assert after.shed_queries - before.shed_queries == 3  # ... three sheds
+        assert after.coalesced_queries == before.coalesced_queries

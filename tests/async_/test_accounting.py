@@ -10,6 +10,8 @@ every result equals the sync path's, spec by spec.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.api import EngineConfig
@@ -65,12 +67,28 @@ def _check(report, session, streams):
     return delta
 
 
-def test_async_clients_account_for_every_request(workload, streams):
+def test_async_clients_account_for_every_request(workload, streams, monkeypatch):
     with workload.open_session(config=EngineConfig()) as session:
+        # hold every leader until an identical request has joined one:
+        # the first wave (16 clients over 4 specs) then coalesces however
+        # fast the executor builds
+        joined = threading.Event()
+        note, gather = session.engine.note_coalesced, session._gather
+
+        def noting(count=1):
+            note(count)
+            joined.set()
+
+        def held(spec):
+            joined.wait(5)
+            return gather(spec)
+
+        monkeypatch.setattr(session.engine, "note_coalesced", noting)
+        monkeypatch.setattr(session, "_gather", held)
         for _ in range(2):
             session.engine.invalidate()
+            joined.clear()
             delta = _check(run_async_clients(session, streams), session, streams)
-            # the first wave of client tasks finds every leader in flight
             assert delta.coalesced_queries > 0
 
 

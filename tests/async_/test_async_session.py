@@ -171,6 +171,59 @@ class TestCoalescing:
         assert stayed is led
         assert len(gate.calls) == 1
 
+    @pytest.mark.parametrize("queued", [False, True], ids=["running", "queued"])
+    def test_a_sync_follower_outlives_a_cancelled_async_leader(
+        self, workload, monkeypatch, queued
+    ):
+        # the leader coroutine is cancelled while its flight runs (or
+        # while it still waits for the only slot); the flight belongs to
+        # every caller, so a thread blocked in Session.execute gets the
+        # answer instead of the leader's CancelledError
+        session = workload.open_session(config=EngineConfig(max_concurrency=1))
+        gate = _Gate(session)
+        monkeypatch.setattr(session, "_gather", gate)
+        spec = _spec(1)
+        follower = {}
+
+        def follow():
+            try:
+                follower["result"] = session.execute(spec)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                follower["error"] = exc
+
+        async def run():
+            async with AsyncSession(session) as s:
+                blocker = None
+                if queued:
+                    blocker = asyncio.create_task(s.execute(_spec(0)))
+                    await _spin(lambda: gate.started.is_set())
+                before = session.stats_snapshot().coalesced_queries
+                leader = asyncio.create_task(s.execute(spec))
+                await _spin(lambda: spec in session._inflight._flights)
+                if not queued:
+                    await _spin(lambda: gate.started.is_set())
+                thread = threading.Thread(target=follow, daemon=True)
+                thread.start()
+                await _spin(
+                    lambda: session.stats_snapshot().coalesced_queries == before + 1
+                )
+                leader.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await leader
+                gate.release.set()
+                await asyncio.get_running_loop().run_in_executor(None, thread.join, 10)
+                if blocker is not None:
+                    await blocker
+                assert s.in_flight == 0 and s.queued == 0
+
+        try:
+            asyncio.run(run())
+        finally:
+            session.close()
+        assert "error" not in follower
+        assert dict(follower["result"].scores)
+        assert gate.calls[-1] == spec and gate.calls.count(spec) == 1
+
     def test_execute_many_coalesces_duplicates_in_one_batch(self, session):
         specs = [_spec(0), _spec(1), _spec(0)]
 
@@ -268,19 +321,47 @@ class TestAdmission:
             session.close()
 
 
+    def test_closing_with_a_queued_leader_fails_its_flight(
+        self, workload, monkeypatch
+    ):
+        session = workload.open_session(config=EngineConfig(max_concurrency=1))
+        gate = _Gate(session)
+        monkeypatch.setattr(session, "_gather", gate)
+
+        async def run():
+            s = AsyncSession(session)
+            first = asyncio.create_task(s.execute(_spec(0)))
+            await _spin(lambda: gate.started.is_set())
+            second = asyncio.create_task(s.execute(_spec(1)))
+            await _spin(lambda: s.queued == 1)
+            closing = asyncio.create_task(s.close())
+            await _spin(lambda: s._executor._shutdown)
+            gate.release.set()
+            await closing
+            assert dict((await first).scores)
+            with pytest.raises(RankingError, match="closed"):
+                await second
+            assert s.in_flight == 0 and s.queued == 0
+            assert session._inflight._flights == {}
+
+        try:
+            asyncio.run(run())
+        finally:
+            session.close()
+
+
 class TestFastPath:
     def test_warm_spec_served_inline_without_executor(self, session):
         spec = _spec()
         reference = session.execute(spec)  # warm graph + score caches
 
+        def forbidden(spec):
+            raise AssertionError("warm request joined a flight")
+
         async def run():
             async with AsyncSession(session) as s:
-                async def forbidden(fn, *args):
-                    raise AssertionError(
-                        "warm request took the executor round trip"
-                    )
-
-                s._run = forbidden
+                # a leader's executor round trip starts at the flight
+                session._join = forbidden
                 return await s.execute(spec)
 
         result = asyncio.run(run())
@@ -413,34 +494,28 @@ class TestAdmissionGate:
         assert order == [0, 1, 2]
         assert gate.in_flight == 0 and gate.queued == 0
 
-    def test_awaited_acquire_is_handed_a_slot(self):
+    def test_admit_hands_a_slot_to_its_future(self):
         gate = AdmissionGate(max_in_flight=1)
+        assert gate.admit().done()  # a free slot: admitted at once
+        waiting = gate.admit()
+        assert not waiting.done() and gate.queued == 1
+        seen = []
+        # the future resolves outside the gate's lock: a callback that
+        # releases in turn does not deadlock
+        waiting.add_done_callback(lambda _: (seen.append(gate.in_flight), gate.release()))
+        thread = threading.Thread(target=gate.release)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert seen == [1]
+        assert gate.in_flight == 0 and gate.queued == 0
 
-        async def run():
-            gate.acquire()
-            waiting = asyncio.create_task(gate.acquire_async())
-            await _spin(lambda: gate.queued == 1)
-            # released from another thread: the slot is handed over
-            threading.Thread(target=gate.release).start()
-            await asyncio.wait_for(waiting, 5)
-            assert gate.in_flight == 1 and gate.queued == 0
-            gate.release()
-
-        asyncio.run(run())
-        assert gate.in_flight == 0
-
-    def test_cancelled_await_leaves_the_queue_and_leaks_no_slot(self):
-        gate = AdmissionGate(max_in_flight=1, max_queue_depth=1)
-
-        async def run():
-            gate.acquire()
-            waiting = asyncio.create_task(gate.acquire_async())
-            await _spin(lambda: gate.queued == 1)
-            waiting.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await waiting
-            assert gate.queued == 0
-            gate.release()
-
-        asyncio.run(run())
+    def test_interrupted_wait_leaves_the_queue_and_leaks_no_slot(self):
+        gate = AdmissionGate(max_in_flight=1, max_queue_depth=2)
+        gate.acquire()
+        first, second = gate.admit(), gate.admit()
+        gate._abandon(first)  # interrupted while queued
+        assert gate.queued == 1
+        gate.release()  # handed over to the second waiter ...
+        gate._abandon(second)  # ... which gives it back
         assert gate.in_flight == 0 and gate.queued == 0
