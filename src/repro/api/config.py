@@ -191,6 +191,8 @@ class EngineConfig:
     backend: str = "compiled"
     builder: str = "batched"
     cache_graphs: bool = True
+    #: bounds each shard engine's query cache and the session's settled
+    #: answers (thread shards with both caches on; see Session.execute)
     max_cached_graphs: int = 256
     cache_scores: bool = True
     max_cached_scores: int = 1024

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -228,8 +229,19 @@ class Session:
                 on_queued=self._engine.note_queued,
                 on_shed=self._engine.note_shed,
             )
-        #: spec -> its pending execution; every front door joins here
-        self._inflight = SingleFlight()
+        #: the shard engines when the session retains settled answers,
+        #: else empty: only shards that run in this process and cache
+        #: graphs and scores (a caches-off reference session never does)
+        self._retaining: Sequence[RankingEngine] = (
+            self._scatter.engines  # type: ignore[union-attr]
+            if self._scatter.mode == "thread"
+            and self._config.cache_graphs
+            and self._config.cache_scores
+            else ()
+        )
+        #: spec -> its pending execution, and its settled answers (LRU,
+        #: as many as the query cache holds); every front door joins here
+        self._inflight = SingleFlight(retain=self._config.max_cached_graphs)
         self._closed = False
 
     # -------------------------------------------------------------- #
@@ -282,7 +294,7 @@ class Session:
         ``config.max_queue_depth`` / ``config.retry_after`` and wired to
         the engine's queued/shed counters. Every front door admits
         through it once per flight leader, batch or explanation; not a
-        cache-resident request, nor a call made inside
+        request served by a settled answer, nor a call made inside
         ``with session.admission:`` on the same thread."""
         return self._admission
 
@@ -355,35 +367,75 @@ class Session:
             ...     results[0].entity_set, len(results) > 0
             ('E1', True)
 
-        A cache-resident spec is served from the caches; identical
-        concurrent specs started at the same mediator epochs share one
-        execution, admitted once through :attr:`admission`.
+        A spec answered before at the same token (the epochs of the
+        mediators it reads and, where answers are retained, their
+        engines' generations) is served from that settled answer: no
+        gather, no flight, no admission. Identical concurrent specs
+        started at the same token share one execution, admitted once
+        through :attr:`admission`.
         """
         spec = self._coerce(spec)
-        cached = self.try_cached(spec)  # checks the session is open
-        if cached is not None:
-            return cached
-        flight, leader = self._join(spec)
-        if leader:
-            return self._inflight.lead(spec, flight, self._admitted, self._gather, spec)
-        return flight.result()
+        found, leader = self._join(spec)  # checks the session is open
+        if leader is None:
+            return found
+        if not leader:
+            return found.result()
+        try:
+            gathered = self._admitted(self._gather, spec)
+        except BaseException as exc:
+            self._settle(spec, found, None, exc)
+            raise
+        return self._settle(spec, found, gathered, None)  # type: ignore[return-value]
 
-    def _join(self, spec: QuerySpec) -> Tuple["Future[ResultSet]", bool]:
-        """Join or lead ``spec``'s flight (token: the epochs of the
-        mediators it reads); a follower counts as coalesced, or as shed
-        when its leader is."""
-        router = self._scatter.router
-        token = [router.mediators[shard].epoch for shard in router.relevant_shards(spec)]
-        flight, leader = self._inflight.join(spec, token)
+    def _join(self, spec: QuerySpec) -> Tuple[Any, Optional[bool]]:
+        """``spec``'s settled answer as a fresh result (``None``), or its
+        flight to join (``False``) or lead (``True``). A settled answer
+        counts a graph and a score hit on every relevant shard; a
+        follower counts as coalesced, or as shed when its leader is."""
+        self._check_open()
+        router, engines = self._scatter.router, self._retaining
+        relevant = router.relevant_shards(spec)
+        token = [router.mediators[shard].epoch for shard in relevant]
+        if engines:
+            token.extend(engines[shard].generation for shard in relevant)
+        found, leader = self._inflight.join(spec, token)
+        if leader is None:
+            for shard in relevant:
+                engines[shard].note_hit()
+            return self._result(found.copy(), spec=spec), None
         if not leader:
             self._engine.note_coalesced()
-            flight.add_done_callback(self._recount_shed)
-        return flight, leader
+            found.add_done_callback(self._recount_shed)
+        return found, leader
 
     def _recount_shed(self, flight: "Future[ResultSet]") -> None:
         if isinstance(flight.exception(), OverloadedError):
             self._engine.note_coalesced(-1)
             self._engine.note_shed()
+
+    def _settle(
+        self,
+        spec: QuerySpec,
+        flight: "Future[ResultSet]",
+        gathered: Optional[GatherResult],
+        error: Optional[BaseException],
+    ) -> Optional[ResultSet]:
+        """Resolve ``spec``'s flight with ``error``, or with ``gathered``
+        as the result every waiter shares. ``gathered`` is retained as
+        the settled answer when the session retains answers and ``spec``
+        is not unseeded Monte Carlo (which the engine never caches
+        either); the shared result then gets its own scores."""
+        if error is not None:
+            self._inflight.settle(spec, flight, error=error)
+            return None
+        retain = bool(self._retaining) and not (
+            spec.method == "reliability"
+            and spec.options.is_stochastic
+            and spec.seed is None
+        )
+        result = self._result(gathered.copy() if retain else gathered, spec=spec)
+        self._inflight.settle(spec, flight, result, retain=gathered if retain else None)
+        return result
 
     def _admitted(self, fn: Callable[..., _T], *args: object) -> _T:
         """``fn(*args)`` under one admission through :attr:`admission`,
@@ -394,25 +446,9 @@ class Session:
         with gate:
             return fn(*args)
 
-    def _gather(self, spec: QuerySpec) -> ResultSet:
-        """``spec`` executed, neither admitted nor coalesced."""
-        return self._result(self._scatter.gather(spec), spec=spec)
-
-    def try_cached(self, spec: SpecLike) -> Optional[ResultSet]:
-        """Serve ``spec`` entirely from the engine caches, or report
-        ``None`` without executing anything.
-
-        The warm path of every front door: a few dictionary probes,
-        bit-identical to :meth:`execute` (same cached scores, same
-        graph). Process-sharded sessions always report ``None`` — their
-        caches live in the worker processes — and so does a spec with a
-        flight pending (it is not cache-resident yet)."""
-        self._check_open()
-        spec = self._coerce(spec)
-        if spec in self._inflight:
-            return None
-        gathered = self._scatter.serve_cached(spec)
-        return None if gathered is None else self._result(gathered, spec=spec)
+    def _gather(self, spec: QuerySpec) -> GatherResult:
+        """``spec`` gathered, neither admitted nor coalesced."""
+        return self._scatter.gather(spec)
 
     def execute_many(
         self,
@@ -645,6 +681,7 @@ class Session:
         teardown runs even if cache invalidation raises."""
         if not self._closed:
             self._closed = True
+            self._inflight = SingleFlight()  # drops the settled answers
             try:
                 self._engine.invalidate()
             finally:

@@ -4,8 +4,8 @@
 and exposes ``execute`` / ``execute_many`` / ``explain`` as
 coroutines. It keeps only an executor hop (``max_concurrency`` wide,
 so one request's storage I/O overlaps another's scoring while the loop
-stays responsive); the serving policy is the session's. A
-cache-resident spec is answered inline, identical specs join the
+stays responsive); the serving policy is the session's. A spec
+with a settled answer is answered inline, identical specs join the
 session's single-flight with HTTP and direct callers, and each flight
 leader queues at the session's admission gate (or an unbounded one of
 its own) and then runs on the executor. Results are bit-identical to
@@ -116,15 +116,13 @@ class AsyncSession:
         :meth:`~repro.api.Session.execute`."""
         self._check_open()
         coerced = Session._coerce(spec)
-        # a cache-resident spec is answered inline: no flight, no slot
-        cached = self._session.try_cached(coerced)
-        if cached is not None:
-            return cached
-        flight, leader = self._session._join(coerced)
+        found, leader = self._session._join(coerced)
+        if leader is None:
+            return found  # a settled answer, inline: no flight, no slot
         if leader:
-            settle = partial(self._session._inflight.settle, coerced, flight)
+            settle = partial(self._session._settle, coerced, found)
             self._admitted(settle, self._session._gather, coerced)
-        return await _bridge(flight)
+        return await _bridge(found)
 
     async def execute_many(
         self,

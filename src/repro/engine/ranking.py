@@ -193,24 +193,34 @@ class SingleFlight:
     caller joins only when its start token (the epochs of the mediators
     the execution reads) equals the leader's, so a request that started
     after a write committed never inherits an answer computed before it.
+
+    A leader may settle with an answer to *retain*. The ``retain`` most
+    recently used such answers stay beside the pending flights, each
+    under its flight's token, and a caller with that token is handed
+    the answer itself instead of a flight.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, retain: int = 0) -> None:
         self._lock = threading.Lock()
         self._flights: Dict[Hashable, Tuple[object, "Future[Any]"]] = {}
+        #: key -> (token, answer) of the retained settlements, LRU order
+        self._settled: "OrderedDict[Hashable, Tuple[object, Any]]" = OrderedDict()
+        self._retain = retain
 
-    def __contains__(self, key: Hashable) -> bool:
-        """Whether ``key`` has a flight pending (a lock-free peek)."""
-        return key in self._flights
-
-    def join(self, key: Hashable, token: object) -> Tuple["Future[Any]", bool]:
+    def join(self, key: Hashable, token: object) -> Tuple[Any, Optional[bool]]:
         """The pending future for ``key`` and whether the caller leads
-        it (a leader must :meth:`settle` it). A flight with another
-        token is not joined: the caller leads a new one instead."""
+        it (a leader must :meth:`settle` it), or the answer retained
+        under ``token`` and ``None``. A flight or answer with another
+        token is not joined: the caller leads a new flight instead."""
         with self._lock:
+            settled = self._settled.get(key)
+            if settled is not None and settled[0] == token:
+                self._settled.move_to_end(key)
+                return settled[1], None
             flight = self._flights.get(key)
             if flight is not None and flight[0] == token:
                 return flight[1], False
+            self._settled.pop(key, None)  # stale: its token moved on
             future: "Future[Any]" = Future()
             self._flights[key] = (token, future)
             return future, True
@@ -221,14 +231,21 @@ class SingleFlight:
         future: "Future[Any]",
         result: object = None,
         error: Optional[BaseException] = None,
+        retain: object = None,
     ) -> None:
         """Evict the flight, *then* resolve it — a caller arriving after
-        this starts afresh — with ``result``, or ``error`` for every
+        this starts afresh, or takes the ``retain`` answer kept under
+        the flight's token — with ``result``, or ``error`` for every
         waiter."""
         with self._lock:
             flight = self._flights.get(key)
             if flight is not None and flight[1] is future:
                 del self._flights[key]
+                if retain is not None:
+                    self._settled[key] = (flight[0], retain)
+                    self._settled.move_to_end(key)
+                    while len(self._settled) > self._retain:
+                        self._settled.popitem(last=False)
         resolve(future, result, error)
 
     def lead(self, key: Hashable, future: "Future[Any]", work: Callable[..., _T], *args: Any) -> _T:
@@ -343,6 +360,9 @@ class RankingEngine:
         self.max_cached_graphs = max_cached_graphs
         self.incremental = incremental
         self.stats = EngineStats()
+        #: bumped by every :meth:`invalidate`; a session's settled
+        #: answers are keyed by it, so invalidating retires them too
+        self.generation = 0
         # guards the three caches and the stats counters so concurrent
         # callers (Session.execute_many's thread pool) stay consistent;
         # the heavy work — graph materialisation, compilation, scoring —
@@ -424,9 +444,20 @@ class RankingEngine:
         # next probe re-examines it instead of missing it
         snapshot = mediator.epoch_snapshot()
         key = (query.signature, chosen_builder)
-        cached, relevant = self._probe(key, mediator)
-        if relevant is not None:
+        with self._lock:
+            cached = self._graphs.get(key)
+        # the entry must come from *this* mediator (the attribute is
+        # public and reassignable); `changes_since` then reports None on
+        # structural change, or exactly which bound tables moved since
+        # the entry's snapshot
+        changes = (
+            mediator.changes_since(cached[1])
+            if cached is not None and cached[0] is mediator
+            else None
+        )
+        if changes is not None:
             qg, build_stats, probe_cache = cached[2:]
+            relevant = _read_changes(changes, probe_cache)
             if not relevant:
                 with self._lock:
                     self._graph_hit(key, cached, snapshot)
@@ -471,72 +502,6 @@ class RankingEngine:
 
         qg, build_stats = self._inflight.lead(key, flight, build)
         return qg, build_stats, False
-
-    def serve_cached(
-        self,
-        query: ExploratoryQuery,
-        method: str,
-        builder: Optional[str] = None,
-        backend: Optional[str] = None,
-        **options: object,
-    ) -> Optional[Callable[[], Tuple[QueryGraph, RankedResult]]]:
-        """How to serve ``query`` + ``method`` entirely from the caches,
-        or ``None`` without doing any work.
-
-        This is the probe behind every front door's warm path, a few
-        dictionary probes. Finding counts nothing; calling the returned
-        function serves the graph and its ranking and counts one
-        ``graph_hit`` + one ``score_hit``. A ``None`` outcome leaves
-        every counter untouched for the ordinary path to account, and a
-        scatter takes its shards' hits only once every relevant shard
-        has one, so a partial hit counts nowhere.
-        """
-        if (
-            self.mediator is None
-            or not self.cache_graphs
-            or not self.cache_scores
-        ):
-            return None
-        mediator = self.mediator
-        snapshot = mediator.epoch_snapshot()
-        key = (query.signature, builder or self.builder)
-        cached, relevant = self._probe(key, mediator)
-        if relevant is None or relevant:
-            return None  # repair or rebuild territory: not a fast path
-        qg = cached[2]
-        canonical = resolve_method(method)
-        with self._lock:
-            compiled = self._compiled.get(qg)
-            score_key = None if compiled is None else self._cache_key(
-                compiled.fingerprint, canonical, backend or self.backend, options
-            )
-            entry = None if score_key is None else self._scores.get(score_key)
-        if entry is None:
-            return None  # not compiled, not cacheable or not scored: real work
-
-        def take() -> Tuple[QueryGraph, RankedResult]:
-            with self._lock:
-                if score_key in self._scores:
-                    self._scores.move_to_end(score_key)
-                self.stats.score_hits += 1
-                self._graph_hit(key, cached, snapshot)
-            return qg, RankedResult(method=canonical, scores=_unpack_scores(entry))
-
-        return take
-
-    def _probe(
-        self, key: Tuple, mediator: Mediator
-    ) -> Tuple[Optional[Tuple], Optional[Dict[Table, ChangeSet]]]:
-        """The query-cache entry at ``key`` and the changes it must answer
-        for (:func:`_read_changes`), or ``None`` for those when it is
-        missing, from another mediator (the attribute is public and
-        reassignable) or behind a structural change."""
-        with self._lock:
-            cached = self._graphs.get(key)
-        if cached is None or cached[0] is not mediator:
-            return cached, None
-        changes = mediator.changes_since(cached[1])
-        return cached, None if changes is None else _read_changes(changes, cached[4])
 
     def _graph_hit(self, key: Tuple, cached: Tuple, snapshot: MediatorEpoch) -> None:
         """Count a query-cache hit on ``cached`` and refresh its snapshot,
@@ -630,6 +595,14 @@ class RankingEngine:
         with self._lock:
             self.stats.coalesced_queries += count
 
+    def note_hit(self) -> None:
+        """Record a request the session answered from a settled flight:
+        one query-cache hit and one score-cache hit, as a warm
+        execution on this shard counts them."""
+        with self._lock:
+            self.stats.graph_hits += 1
+            self.stats.score_hits += 1
+
     def note_queued(self, count: int = 1) -> None:
         """Record ``count`` admissions that waited for an in-flight
         slot before executing."""
@@ -678,6 +651,7 @@ class RankingEngine:
     def invalidate(self, qg: Optional[QueryGraph] = None) -> None:
         """Drop cached state for ``qg`` (or everything when ``None``)."""
         with self._lock:
+            self.generation += 1
             if qg is None:
                 self._compiled = weakref.WeakKeyDictionary()
                 self._reduced = weakref.WeakKeyDictionary()

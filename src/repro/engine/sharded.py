@@ -25,7 +25,7 @@ sibling of :class:`ShardedEngine` over the same :class:`ShardScatter`
 base: its workers call the same :func:`score_fragment`, and the
 supervisor decodes their replies into the same :class:`ShardFragment`
 for the same :func:`merge_fragments`. Only thread shards build a
-batch's shared traversal once and answer cache-only probes.
+batch's shared traversal once.
 
 Equivalence rests on the ancestor-closure rule enforced by
 :func:`repro.integration.partition.partition_mediator`: only traversal
@@ -381,6 +381,11 @@ class GatherResult:
     #: every relevant shard's fragment, empty partitions included
     fragments: List[ShardFragment]
 
+    def copy(self) -> "GatherResult":
+        """The same result over its own copy of the scores (the
+        fragments are shared: no result hands them out)."""
+        return GatherResult(self.method, dict(self.scores), self.fragments)
+
     @property
     def populated(self) -> List[ShardFragment]:
         return [f for f in self.fragments if f.empty is None]
@@ -501,42 +506,31 @@ def _ranked_fragment(
     built: Tuple[QueryGraph, BuildStats, bool],
     build_seconds: float,
 ) -> ShardFragment:
-    """Rank ``spec`` on a shard's built query graph, keeping the owned
-    answers."""
+    """Rank ``spec`` on a shard's built query graph and keep the answers
+    ``shard`` owns. The shard of a one-shard router owns them all: it
+    adopts the fresh score dict without an ownership probe and reports
+    the whole graph."""
     qg, build_stats, graph_cached = built
     started = time.perf_counter()
     ranked, score_cached = engine.rank_with_stats(
         qg, spec.method, **spec.options.to_kwargs(spec.method, spec.seed)
     )
-    fragment = _owned(engine, router, shard, qg, ranked.scores)
+    if router.shards == 1:
+        fragment = ShardFragment(
+            shard, ranked.scores, graph=qg, whole=True,
+            fingerprint=engine.cached_fingerprint(qg),
+        )
+    else:
+        fragment = ShardFragment(shard, graph=qg)
+        owner = router.owner
+        data = qg.graph.data
+        for node in qg.targets:
+            payload = data(node)
+            if owner(payload.entity_set, payload.key) == shard:
+                fragment.scores[node] = ranked.scores[node]
     fragment.build_stats, fragment.build_seconds = build_stats, build_seconds
     fragment.graph_cached, fragment.score_cached = graph_cached, score_cached
     fragment.rank_seconds = time.perf_counter() - started
-    return fragment
-
-
-def _owned(
-    engine: RankingEngine,
-    router: ShardRouter,
-    shard: int,
-    qg: QueryGraph,
-    scores: Dict[NodeId, float],
-) -> ShardFragment:
-    """The fragment of ``qg``'s ranked answers that ``shard`` owns. The
-    shard of a one-shard router owns them all: it adopts the fresh score
-    dict without an ownership probe and reports the whole graph."""
-    if router.shards == 1:
-        return ShardFragment(
-            shard, scores, graph=qg, whole=True,
-            fingerprint=engine.cached_fingerprint(qg),
-        )
-    fragment = ShardFragment(shard, graph=qg)
-    owner = router.owner
-    data = qg.graph.data
-    for node in qg.targets:
-        payload = data(node)
-        if owner(payload.entity_set, payload.key) == shard:
-            fragment.scores[node] = scores[node]
     return fragment
 
 
@@ -671,12 +665,6 @@ class ShardScatter:
             return list(self._scatter_pool().map(run, relevant, repeat(arg)))
         return [run(shard, arg) for shard in relevant]
 
-    def serve_cached(self, spec: "QuerySpec") -> Optional[GatherResult]:
-        """Gather ``spec`` from the shard caches alone, or ``None``
-        without executing anything (always ``None`` here)."""
-        self._check_open()
-        return None
-
     def shard_stats(self) -> List[EngineStats]:
         """Per-shard counter snapshots, shard order."""
         raise NotImplementedError
@@ -809,28 +797,6 @@ class ShardedEngine(ShardScatter):
         derived = QueryGraph(union.graph, union.source, answers)
         with self._views_lock:
             return views.setdefault(outputs, derived)
-
-    def serve_cached(self, spec: "QuerySpec") -> Optional[GatherResult]:
-        """Gather ``spec`` from the shard caches alone, or ``None``
-        without executing anything. A hit is taken (and counted) only
-        once every relevant shard has one."""
-        self._check_open()
-        query = spec.to_exploratory()
-        options = spec.options.to_kwargs(spec.method, spec.seed)
-        relevant = self.router.relevant_shards(query)
-        takes = [
-            self.engines[shard].serve_cached(query, spec.method, **options)
-            for shard in relevant
-        ]
-        if any(take is None for take in takes):
-            return None
-        outcomes: List[Outcome] = []
-        for shard, take in zip(relevant, takes):
-            qg, ranked = take()  # type: ignore[misc]
-            fragment = _owned(self.engines[shard], self.router, shard, qg, ranked.scores)
-            fragment.graph_cached = fragment.score_cached = True
-            outcomes.append(("ok", fragment))
-        return merge_fragments(spec.method, relevant, outcomes)
 
     # -------------------------------------------------------------- #
     # stats and lifecycle (aggregated over the children)

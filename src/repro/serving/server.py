@@ -130,7 +130,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> Optional[Dict[str, object]]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            # no readable length: refused like a missing one, and closed,
+            # since the body (if any) cannot be delimited
+            self.close_connection = True
+            length = 0
         if length > _MAX_BODY:
             # 413, and close: the client would otherwise stream the
             # oversized body into a connection we will not read
@@ -143,7 +150,7 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             self._reply(400, _error_body(QueryError(
                 f"request body must be 1..{_MAX_BODY} bytes of JSON, "
-                f"got Content-Length {length}"
+                f"got Content-Length {header}"
             )))
             return None
         raw = self.rfile.read(length)

@@ -16,6 +16,12 @@ through ``AsyncSession``.
 Admission: a warm request takes neither the flight nor the gate, a
 call already inside ``with session.admission:`` is not admitted again,
 and the followers of a shed leader count as shed.
+
+Retention: a settled answer serves its spec until a write or an
+engine's ``invalidate()`` moves the token, in single mode and on two
+thread shards. Unseeded Monte Carlo, caches-off sessions and failed
+leaders retain nothing, every hit owns its scores, and at most
+``max_cached_graphs`` answers are kept.
 """
 
 from __future__ import annotations
@@ -356,3 +362,117 @@ class TestAdmission:
         assert len(errors) == 3  # three 503s ...
         assert after.shed_queries - before.shed_queries == 3  # ... three sheds
         assert after.coalesced_queries == before.coalesced_queries
+
+
+class _CountedKernel(_HeldKernel):
+    """Counts ``repro.engine.ranking.rank`` calls without holding them."""
+
+    def __init__(self, monkeypatch):
+        super().__init__(monkeypatch)
+        self.release.set()
+
+
+@pytest.fixture(params=[1, 2], ids=["single", "thread-shards"])
+def layered(request):
+    generated = mediated_layers(layers=3, width=16, fan_out=3, rng=11, shards=request.param)
+    yield generated
+    generated.close()
+
+
+def _served(workload, config=None):
+    return workload.open_session(config=EngineConfig(shards=workload.shards, **(config or {})))
+
+
+class TestRetention:
+    """A settled answer serves its spec until a write, a registration, a
+    confidence change or an engine's ``invalidate()`` moves the token;
+    only successful, cacheable answers of caching thread-mode sessions
+    are kept, at most ``max_cached_graphs`` of them, and every hit owns
+    its scores."""
+
+    def test_a_write_retires_the_settled_answer(self, layered, monkeypatch):
+        spec = layered.spec(**_SPEC_METHOD)
+        with _served(layered) as session:
+            first = dict(session.execute(spec).scores)
+            kernel = _CountedKernel(monkeypatch)
+            assert dict(session.execute(spec).scores) == first
+            assert kernel.calls == 0  # the settled answer
+            layered.refresh_entity_weights(count=16, rng=3)
+            after = dict(session.execute(spec).scores)
+        fresh = _cold_scores(layered, spec)
+        assert after == fresh and after != first
+
+    def test_invalidate_retires_the_settled_answer(self, layered, monkeypatch):
+        spec = layered.spec(method="in_edge")
+        with _served(layered) as session:
+            session.execute(spec)
+            kernel = _CountedKernel(monkeypatch)
+            engines = session.sharded_engine.engines if session.sharded else [session.engine]
+            for engine in engines:
+                engine.invalidate()
+                answer = dict(session.execute(spec).scores)
+                assert dict(session.execute(spec).scores) == answer
+            assert kernel.calls == len(engines)  # one real execution each
+        assert answer == _cold_scores(layered, spec)
+
+    @pytest.mark.parametrize(
+        "config, seed",
+        [({}, None), (dict(cache_graphs=False, cache_scores=False), 7)],
+        ids=["unseeded-mc", "caches-off"],
+    )
+    def test_unretained_requests_run_the_kernel_every_time(
+        self, layered, monkeypatch, config, seed
+    ):
+        spec = _mc_spec(layered, seed)
+        kernel = _CountedKernel(monkeypatch)
+        with _served(layered, config) as session:
+            for _ in range(3):
+                session.execute(spec)
+        assert kernel.calls == 3 * layered.shards
+
+    def test_a_failed_leader_retains_nothing(self, layered, monkeypatch):
+        spec = layered.spec(method="in_edge")
+        with _served(layered) as session:
+            gather, calls = session._gather, []
+
+            def failing_once(spec):
+                calls.append(spec)
+                if len(calls) == 1:
+                    raise OverloadedError("refused", retry_after=1.0)
+                return gather(spec)
+
+            monkeypatch.setattr(session, "_gather", failing_once)
+            with pytest.raises(OverloadedError):
+                session.execute(spec)
+            answer = session.execute(spec)  # runs: nothing was retained
+            again = session.execute(spec)  # the settled answer
+        assert len(calls) == 2
+        assert dict(again.scores) == dict(answer.scores) == _cold_scores(layered, spec)
+
+    def test_every_hit_owns_its_scores(self, layered):
+        spec = layered.spec(method="path_count")
+        with _served(layered) as session:
+            leader = session.execute(spec)
+            expected = dict(leader.scores)
+            leader.scores.clear()
+            first = session.execute(spec)
+            assert first is not leader and dict(first.scores) == expected
+            first.scores.clear()
+            second = session.execute(spec)
+            assert dict(second.scores) == expected
+            assert second.to_dict() == session.execute(spec).to_dict()
+
+    def test_retained_answers_never_exceed_max_cached_graphs(self, layered, monkeypatch):
+        specs = [layered.spec(method=method) for method in ("in_edge", "path_count", "propagation")]
+        with _served(layered, dict(max_cached_graphs=2)) as session:
+            for spec in specs:
+                session.execute(spec)
+            assert len(session._inflight._settled) == 2
+            gather, gathered = session._gather, []
+            monkeypatch.setattr(session, "_gather", lambda s: gathered.append(s) or gather(s))
+            for spec in specs[1:]:
+                session.execute(spec)  # still retained
+            assert gathered == []
+            session.execute(specs[0])  # evicted: it runs again
+            assert gathered == [specs[0]]
+            assert len(session._inflight._settled) == 2

@@ -351,21 +351,25 @@ class TestAdmission:
 
 
 class TestFastPath:
-    def test_warm_spec_served_inline_without_executor(self, session):
+    def test_warm_spec_served_inline_without_executor(self, session, monkeypatch):
         spec = _spec()
-        reference = session.execute(spec)  # warm graph + score caches
+        reference = session.execute(spec)  # settles a retained answer
 
-        def forbidden(spec):
-            raise AssertionError("warm request joined a flight")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm request reached the executor or the gate")
 
         async def run():
             async with AsyncSession(session) as s:
-                # a leader's executor round trip starts at the flight
-                session._join = forbidden
-                return await s.execute(spec)
+                monkeypatch.setattr(s._executor, "submit", forbidden)
+                monkeypatch.setattr(s._gate, "admit", forbidden)
+                result = await s.execute(spec)
+                assert s.in_flight == 0 and s.queued == 0
+                monkeypatch.undo()
+                return result
 
         result = asyncio.run(run())
         assert dict(result.scores) == dict(reference.scores)
+        assert result is not reference
 
 
 class TestLifecycle:

@@ -446,13 +446,16 @@ class TestPackedScoreCache:
         first.scores.clear()
         assert len(engine.rank(qg, "in_edge").scores) > 0
 
-    def test_serve_cached_unpacks_the_same_scores(self):
+    def test_a_settled_answer_serves_the_same_scores(self):
         workload = mediated_layers(layers=3, width=16, fan_out=3, rng=11)
-        engine = RankingEngine(mediator=workload.mediator)
-        qg = engine.execute(workload.query)
-        miss = engine.rank(qg, "propagation")
-        take = engine.serve_cached(workload.query, "propagation")
-        assert take is not None
-        served = take()
-        assert served[0] is qg
-        assert list(served[1].scores.items()) == list(miss.scores.items())
+        spec = workload.spec(method="propagation")
+        with workload.open_session() as session:
+            miss = session.execute(spec)
+            before = session.stats_snapshot()
+            hit = session.execute(spec)
+            after = session.stats_snapshot()
+        assert hit.graph is miss.graph
+        assert list(hit.scores.items()) == list(miss.scores.items())
+        assert after.graph_hits - before.graph_hits == 1
+        assert after.score_hits - before.score_hits == 1
+        workload.close()

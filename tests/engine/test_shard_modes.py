@@ -188,28 +188,42 @@ class TestGatheredResult:
 
 
 class TestFastPath:
-    def test_try_cached_serves_warm_thread_shards_only(self, session, mode, spec):
+    def test_a_warm_spec_is_settled_on_thread_shards_only(
+        self, session, mode, spec, monkeypatch
+    ):
         executed = session.execute(spec)
-        served = session.try_cached(spec)
-        if mode == "process":
-            assert served is None  # the caches live in the workers
-        else:
-            assert isinstance(served, ShardedResultSet)
-            assert served.to_dict() == executed.to_dict()
-            assert served.owner_shards == executed.owner_shards
+        gathers = []
+        gather = session._gather
+        monkeypatch.setattr(session, "_gather", lambda s: gathers.append(s) or gather(s))
+        before = session.shard_stats()
+        served = session.execute(spec)
+        after = session.shard_stats()
+        assert isinstance(served, ShardedResultSet) and served is not executed
+        assert served.to_dict() == executed.to_dict()
+        assert served.owner_shards == executed.owner_shards
+        # process requests still reach the workers; thread shards answer
+        # from the settled answer, counting what a warm gather counts
+        assert len(gathers) == (1 if mode == "process" else 0)
+        assert [a.graph_hits - b.graph_hits for a, b in zip(after, before)] == [1, 1]
+        assert [a.score_hits - b.score_hits for a, b in zip(after, before)] == [1, 1]
 
-    def test_a_partial_hit_counts_nowhere(self):
-        """A spec warm on one shard but not on the other is not served,
-        and the warm shard does not count a hit for it either."""
+    def test_an_invalidated_shard_retires_the_settled_answer(self):
+        """After one shard's invalidate(), the next request executes:
+        the warm shard counts a hit and the invalidated one a miss."""
         workload = mediated_layers(layers=3, width=16, fan_out=3, rng=11, shards=2)
         spec = workload.spec(method="in_edge")
         with workload.open_session(config=EngineConfig(shards=2)) as session:
-            session.execute(spec)
+            expected = session.execute(spec)
             session.sharded_engine.engines[1].invalidate()
             before = session.shard_stats()
-            assert session.try_cached(spec) is None
-            assert session.shard_stats() == before
+            result = session.execute(spec)
+            after = session.shard_stats()
         workload.close()
+        assert result.to_dict() == expected.to_dict()
+        assert [
+            (a.graph_hits - b.graph_hits, a.graph_misses - b.graph_misses)
+            for a, b in zip(after, before)
+        ] == [(1, 0), (0, 1)]
 
 
 class TestShardStats:
@@ -296,15 +310,13 @@ class TestOneShardRouter:
             assert explained["fingerprint"]
             assert self._explained(one_shard, spec) == explained
 
-    def test_try_cached_serves_identically(self, workload, pair):
+    def test_a_settled_answer_serves_identically(self, workload, pair):
         single, one_shard = pair
         spec = workload.spec(method="path_count")
-        assert single.try_cached(spec) is None and one_shard.try_cached(spec) is None
         executed = single.execute(spec)
         one_shard.execute(spec)
-        served, expected = one_shard.try_cached(spec), single.try_cached(spec)
-        assert expected is not None and served is not None
-        assert expected.graph is executed.graph
+        served, expected = one_shard.execute(spec), single.execute(spec)
+        assert expected is not executed and expected.graph is executed.graph
         assert served.to_dict() == expected.to_dict()
         assert one_shard.stats_snapshot() == single.stats_snapshot()
 

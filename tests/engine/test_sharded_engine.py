@@ -346,7 +346,9 @@ class TestStatsAndSession:
 
     def test_closed_sharded_session_rejects_execution(self, workload):
         session = workload.open_session()
+        session.execute(workload.spec())  # retains a settled answer
         session.close()
+        assert not session._inflight._settled  # closing drops it
         with pytest.raises(RankingError, match="closed"):
             session.execute(workload.spec())
 
@@ -362,8 +364,6 @@ class TestStatsAndSession:
             engine.gather(spec)
         with pytest.raises(RankingError, match="closed"):
             engine.gather_group([spec, workload.spec(method="path_count")])
-        with pytest.raises(RankingError, match="closed"):
-            engine.serve_cached(spec)
         assert engine._pool is None
         assert not [
             thread for thread in set(threading.enumerate()) - before

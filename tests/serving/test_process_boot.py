@@ -127,7 +127,6 @@ class TestFleetLifecycle:
         for call in (
             lambda: engine.gather(spec),
             lambda: engine.gather_group([spec]),
-            lambda: engine.serve_cached(spec),
             lambda: engine.repair(),
         ):
             with pytest.raises(RankingError, match="closed"):

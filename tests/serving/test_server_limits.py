@@ -110,13 +110,17 @@ class TestBodyCap:
             # refused oversized uploads close the connection: recv
             # already drained to EOF above, proving the close
 
-    def test_missing_content_length_is_400(self, workload):
+    @pytest.mark.parametrize("length", [None, "abc"], ids=["missing", "unreadable"])
+    def test_missing_content_length_is_400(self, workload, length):
         session = workload.open_session(config=EngineConfig(), sharded=False)
+        headers = {"Content-Type": "application/json"}
+        if length is not None:
+            headers["Content-Length"] = length
         with serve(session) as running:
             request = urllib.request.Request(
                 running.url + "/execute",
                 data=b"",
-                headers={"Content-Type": "application/json"},
+                headers=headers,
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
