@@ -243,15 +243,15 @@ class EngineConfig:
     #: worker before the query fails with a classified shard error
     worker_restarts: int = 2
     #: per-session cap on concurrently *executing* requests: the slots of
-    #: the one admission gate every front door shares, taken once per
-    #: single-flight leader (followers are never admitted); the async
-    #: session also sizes its executor by it
+    #: the session's admission gate (on when ``max_queue_depth`` is set),
+    #: which every caller shares and takes once per single-flight leader
+    #: (followers are never admitted)
     max_concurrency: int = 8
     #: bounded admission: how many requests may *wait* for an execution
     #: slot beyond ``max_concurrency`` before new arrivals are shed
     #: with an ``OverloadedError`` (surfaced as HTTP 503 +
     #: ``Retry-After``). ``None`` (the default) disables shedding and
-    #: the session's gate; the async session then queues without bound
+    #: the session's gate: requests then execute unbounded
     max_queue_depth: Optional[int] = None
     #: the ``Retry-After`` hint (seconds) attached to shed requests
     retry_after: float = 1.0

@@ -49,7 +49,6 @@ from typing import (
 
 if TYPE_CHECKING:
     from repro.analysis.framework import AnalysisReport
-    from repro.async_.admission import AdmissionGate
     from repro.serving.engine import ProcessShardedEngine
     from repro.serving.source import WorkerSource
     from repro.storage.database import Database
@@ -57,6 +56,7 @@ if TYPE_CHECKING:
 from repro.api.config import EngineConfig, RankingOptions
 from repro.api.result import ResultSet, ShardedResultSet
 from repro.api.spec import Query, QuerySpec
+from repro.async_.admission import AdmissionGate
 from repro.core.graph import QueryGraph
 from repro.core.ranker import RankedResult
 from repro.engine.ranking import EngineStats, RankingEngine, SingleFlight
@@ -217,11 +217,8 @@ class Session:
         # parallel batch, reused across calls, reaped by close()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        self._admission: Optional["AdmissionGate"] = None
+        self._admission: Optional[AdmissionGate] = None
         if self._config.max_queue_depth is not None:
-            # imported here: repro.async_ imports this module
-            from repro.async_.admission import AdmissionGate
-
             self._admission = AdmissionGate(
                 self._config.max_concurrency,
                 self._config.max_queue_depth,
@@ -286,7 +283,7 @@ class Session:
         return self._scatter if self._scatter.mode == "process" else None  # type: ignore[return-value]
 
     @property
-    def admission(self) -> Optional["AdmissionGate"]:
+    def admission(self) -> Optional[AdmissionGate]:
         """The session's bounded admission gate, or ``None`` when the
         config leaves admission unbounded (``max_queue_depth=None``).
 
@@ -367,9 +364,9 @@ class Session:
             ...     results[0].entity_set, len(results) > 0
             ('E1', True)
 
-        A spec answered before at the same token (the epochs of the
-        mediators it reads and, where answers are retained, their
-        engines' generations) is served from that settled answer: no
+        A deterministic spec answered before at the same token (the
+        epochs of the mediators it reads and, where answers are retained,
+        their engines' generations) is served from that settled answer: no
         gather, no flight, no admission. Identical concurrent specs
         started at the same token share one execution, admitted once
         through :attr:`admission`.
@@ -383,9 +380,9 @@ class Session:
         try:
             gathered = self._admitted(self._gather, spec)
         except BaseException as exc:
-            self._settle(spec, found, None, exc)
+            self._inflight.settle(spec, found, error=exc)
             raise
-        return self._settle(spec, found, gathered, None)  # type: ignore[return-value]
+        return self._settle(spec, found, gathered)
 
     def _join(self, spec: QuerySpec) -> Tuple[Any, Optional[bool]]:
         """``spec``'s settled answer as a fresh result (``None``), or its
@@ -414,24 +411,17 @@ class Session:
             self._engine.note_shed()
 
     def _settle(
-        self,
-        spec: QuerySpec,
-        flight: "Future[ResultSet]",
-        gathered: Optional[GatherResult],
-        error: Optional[BaseException],
-    ) -> Optional[ResultSet]:
-        """Resolve ``spec``'s flight with ``error``, or with ``gathered``
-        as the result every waiter shares. ``gathered`` is retained as
-        the settled answer when the session retains answers and ``spec``
-        is not unseeded Monte Carlo (which the engine never caches
-        either); the shared result then gets its own scores."""
-        if error is not None:
-            self._inflight.settle(spec, flight, error=error)
-            return None
+        self, spec: QuerySpec, flight: "Future[ResultSet]", gathered: GatherResult
+    ) -> ResultSet:
+        """Resolve ``spec``'s flight with ``gathered`` as the result every
+        waiter shares. ``gathered`` is retained as the settled answer
+        when the session retains answers and ``spec`` is deterministic:
+        Monte Carlo clients tend to draw a fresh seed per request, so a
+        seeded answer is seldom asked for again, and a repeated seed is
+        a score-cache hit anyway. The shared result then gets its own
+        scores."""
         retain = bool(self._retaining) and not (
-            spec.method == "reliability"
-            and spec.options.is_stochastic
-            and spec.seed is None
+            spec.method == "reliability" and spec.options.is_stochastic
         )
         result = self._result(gathered.copy() if retain else gathered, spec=spec)
         self._inflight.settle(spec, flight, result, retain=gathered if retain else None)
@@ -588,12 +578,8 @@ class Session:
             (False, True, True)
         """
         self._check_open()
-        return self._admitted(self._explain, spec)
-
-    def _explain(self, spec: SpecLike) -> Explanation:
-        """:meth:`explain` without admission."""
         spec = self._coerce(spec)
-        gathered = self._scatter.gather(spec)
+        gathered = self._admitted(self._scatter.gather, spec)
         return Explanation(
             spec=spec,
             graph_cached=gathered.graph_cached,

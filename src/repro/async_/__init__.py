@@ -1,25 +1,21 @@
-"""``repro.async_`` — the asynchronous serving core.
+"""``repro.async_`` — the session's bounded admission gate.
 
-An :mod:`asyncio` surface over the synchronous :class:`~repro.api.Session`
-whose serving policy every front door (direct, HTTP, async) shares:
-one single-flight key — identical specs started at the same mediator
-epochs share one execution, and followers are never admitted — and one
-:class:`AdmissionGate` (``max_concurrency`` slots, ``max_queue_depth``
-waiters in FIFO order, blocking or queued; overload is an
-:class:`~repro.errors.OverloadedError`, HTTP 503 at the front door).
-:class:`AsyncSession` adds only the executor hop, so its results are
-bit-identical to the sync path.
+:class:`AdmissionGate` caps how many requests execute at once
+(``EngineConfig.max_concurrency``) and how many more may wait
+(``max_queue_depth``; overload is an :class:`~repro.errors.OverloadedError`,
+HTTP 503 at the front door). Every caller of a
+:class:`~repro.api.Session` queues at the same gate, once per
+single-flight leader. An asyncio caller takes the same path from the
+executor, so it joins the same flight, gate and settled answers::
 
-::
+    results = await loop.run_in_executor(None, session.execute, spec)
 
-    from repro.async_ import open_async_session
-
-    async def main():
-        async with open_async_session(sources=[...]) as session:
-            results = await session.execute(spec)
+The gate lives here, not in :mod:`repro.api`, because this package
+once held an asyncio facade over the session and the gate kept its
+module path when the facade went: ``benchmarks/e2e/trace.py`` times
+admission by patching ``repro.async_.admission.AdmissionGate.__enter__``.
 """
 
 from repro.async_.admission import AdmissionGate
-from repro.async_.session import AsyncSession, open_async_session
 
-__all__ = ["AdmissionGate", "AsyncSession", "open_async_session"]
+__all__ = ["AdmissionGate"]

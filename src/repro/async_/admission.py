@@ -1,4 +1,4 @@
-"""Bounded admission control shared by every front door.
+"""Bounded admission control shared by every caller of a session.
 
 :class:`AdmissionGate` is a thread-safe counting gate with two caps:
 ``max_in_flight`` requests may *execute* at once and
@@ -7,10 +7,10 @@ arrival that finds the queue full is refused at once with an
 :class:`~repro.errors.OverloadedError` carrying the ``retry_after``
 hint. A freed slot goes to the longest waiter (FIFO), whether a thread
 blocks for it (``with gate:``) or queued for it without waiting
-(:meth:`AdmissionGate.admit`, as the async session does). The
-session's gate (``session.admission``) admits each single-flight
-leader once; followers are never admitted, and neither is a call made
-inside a ``with session.admission:`` block on the same thread.
+(:meth:`AdmissionGate.admit`). The session's gate
+(``session.admission``) admits each single-flight leader once;
+followers are never admitted, and neither is a call made inside a
+``with session.admission:`` block on the same thread.
 """
 
 from __future__ import annotations

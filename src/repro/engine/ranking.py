@@ -177,14 +177,6 @@ class EngineStats:
         )
 
 
-def resolve(future: "Future[Any]", result: object, error: Optional[BaseException]) -> None:
-    """Resolve ``future`` with ``result``, or ``error`` if one is given."""
-    if error is None:
-        future.set_result(result)
-    else:
-        future.set_exception(error)
-
-
 class SingleFlight:
     """At most one pending execution per key, shared by identical callers.
 
@@ -246,7 +238,10 @@ class SingleFlight:
                     self._settled.move_to_end(key)
                     while len(self._settled) > self._retain:
                         self._settled.popitem(last=False)
-        resolve(future, result, error)
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
 
     def lead(self, key: Hashable, future: "Future[Any]", work: Callable[..., _T], *args: Any) -> _T:
         """Run the leader's ``work(*args)`` and settle the flight with

@@ -10,7 +10,7 @@ generates *abstract* workloads for stress-testing and scaling studies:
   behind a mediator, exercising the full execution pipeline (storage
   lookups, binding plans, graph builders) at any scale;
 * :mod:`~repro.workloads.concurrent` — a deterministic
-  concurrent-client driver (asyncio tasks or threads) for serving-style
+  concurrent-client driver (one thread per client) for serving-style
   load with overlapping identical requests.
 """
 
@@ -19,7 +19,6 @@ from repro.workloads.mediated import MediatedWorkload, mediated_layers
 from repro.workloads.concurrent import (
     ConcurrentRunReport,
     client_streams,
-    run_async_clients,
     run_threaded_clients,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "mediated_layers",
     "ConcurrentRunReport",
     "client_streams",
-    "run_async_clients",
     "run_threaded_clients",
 ]

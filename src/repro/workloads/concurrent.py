@@ -4,19 +4,11 @@ Real serving traffic is not a batch: it is N independent clients, each
 issuing its own stream of requests, with duplicates arriving *while*
 an identical request is still executing — exactly the shape that
 exercises single-flight coalescing and bounded admission. This module
-generates that shape deterministically and runs it against either
-surface:
-
-* :func:`run_async_clients` — C asyncio client tasks over one
-  :class:`~repro.async_.AsyncSession`;
-* :func:`run_threaded_clients` — C threads over one synchronous
-  :class:`~repro.api.Session` (the baseline the async core is measured
-  against, and the driver for the sync thundering-herd regression).
-
-Both return a :class:`ConcurrentRunReport` with throughput and the
-engine-counter delta over the run, so callers can assert coalescing
-behavior ("N identical cold requests, one traversal") as well as
-compare sustained request rates.
+generates that shape deterministically (:func:`client_streams`) and
+runs it as C threads over one :class:`~repro.api.Session`
+(:func:`run_threaded_clients`). The run's :class:`ConcurrentRunReport`
+carries throughput and the engine-counter delta, so callers can assert
+coalescing behavior ("N identical cold requests, one traversal").
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ from repro.errors import ReproError
 __all__ = [
     "ConcurrentRunReport",
     "client_streams",
-    "run_async_clients",
     "run_threaded_clients",
 ]
 
@@ -102,62 +93,6 @@ def _stats_delta(before: EngineStats, after: EngineStats) -> EngineStats:
         f.name: getattr(after, f.name) - getattr(before, f.name)
         for f in dataclasses.fields(EngineStats)
     })
-
-
-def run_async_clients(
-    session,
-    streams: Sequence[Sequence[QuerySpec]],
-    return_errors: bool = True,
-) -> ConcurrentRunReport:
-    """Run one asyncio client task per stream against ``session``
-    through a fresh :class:`~repro.async_.AsyncSession`, closed with
-    the run's event loop (the *sync* session — and with it every
-    cache, counter and flight — persists across runs). Each client
-    awaits its requests in order; clients run concurrently, bounded by
-    the session's admission caps."""
-    import asyncio
-
-    from repro.async_ import AsyncSession
-
-    async def _client(
-        async_session, stream: Sequence[QuerySpec]
-    ) -> List[Optional[ResultSet]]:
-        outcomes: List[Optional[ResultSet]] = []
-        for spec in stream:
-            try:
-                outcomes.append(await async_session.execute(spec))
-            except ReproError:
-                if not return_errors:
-                    raise
-                outcomes.append(None)
-        return outcomes
-
-    timings: List[float] = []
-
-    async def _run() -> List[List[Optional[ResultSet]]]:
-        async with AsyncSession(session) as async_session:
-            # time the serving, not the event-loop/executor bootstrap:
-            # a long-lived deployment pays that once, not per wave
-            started = time.perf_counter()
-            per_client = await asyncio.gather(
-                *(_client(async_session, stream) for stream in streams)
-            )
-            timings.append(time.perf_counter() - started)
-            return per_client
-
-    before = session.stats_snapshot()
-    per_client = asyncio.run(_run())
-    seconds = timings[0]
-    after = session.stats_snapshot()
-    results = [outcome for stream in per_client for outcome in stream]
-    return ConcurrentRunReport(
-        clients=len(streams),
-        requests=len(results),
-        errors=sum(1 for outcome in results if outcome is None),
-        seconds=seconds,
-        stats_delta=_stats_delta(before, after),
-        results=results,
-    )
 
 
 def run_threaded_clients(

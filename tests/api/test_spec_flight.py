@@ -1,9 +1,12 @@
 """One single-flight for every front door, and no stale joins.
 
 Herd: identical cold Monte Carlo requests arriving together through
-``Session.execute``, the HTTP server or an ``AsyncSession`` run the
-kernel once and share its answer, seeded or not. The kernel is held
-until every follower has joined, so the overlap is a controlled state.
+``Session.execute`` or the HTTP server run the kernel once and share
+its answer, seeded or not. The kernel is held until every follower has
+joined, so the overlap is a controlled state. A failed flight hands
+its error to every waiter and is evicted, so the next request retries;
+closing the session while a leader waits at the gate fails that
+leader and its followers.
 
 Stale join: a request that starts after a write committed must not
 join a flight that read storage before the write. The leader is held
@@ -11,7 +14,7 @@ inside ``record_build`` after its reads; the write commits; an
 identical request then runs on its own (it finishes while the leader
 is still held) and equals a cold, cache-free session. Checked at the
 engine's ``(signature, builder)`` key, at the session's spec key, and
-through ``AsyncSession``.
+through HTTP.
 
 Admission: a warm request takes neither the flight nor the gate, a
 call already inside ``with session.admission:`` is not admitted again,
@@ -19,26 +22,25 @@ and the followers of a shed leader count as shed.
 
 Retention: a settled answer serves its spec until a write or an
 engine's ``invalidate()`` moves the token, in single mode and on two
-thread shards. Unseeded Monte Carlo, caches-off sessions and failed
-leaders retain nothing, every hit owns its scores, and at most
+thread shards. Monte Carlo, seeded or not, caches-off sessions and
+failed leaders retain nothing, every hit owns its scores, and at most
 ``max_cached_graphs`` answers are kept.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
 
 import repro.engine.ranking as ranking
 from repro.api import EngineConfig, RankingOptions
-from repro.async_ import AsyncSession
 from repro.engine import RankingEngine
-from repro.errors import OverloadedError
+from repro.errors import OverloadedError, RankingError
 from repro.serving.server import serve
 from repro.workloads import mediated_layers
 
@@ -119,6 +121,20 @@ def _run_herd(session, kernel, call):
     return results, _coalesced(session) - before
 
 
+def _post_execute(url, spec):
+    """POST ``spec`` to ``/execute``: ``(status, reply)``, errors too."""
+    request = urllib.request.Request(
+        url + "/execute",
+        data=json.dumps(spec.to_dict()).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
 @pytest.mark.parametrize("seed", [7, None], ids=["seeded", "unseeded"])
 class TestHerd:
     def test_session_execute_runs_the_kernel_once(self, workload, seed, monkeypatch):
@@ -149,29 +165,6 @@ class TestHerd:
         assert kernel.calls == 1
         assert coalesced == _HERD - 1
         assert all(result == results[0] for result in results)
-
-    def test_async_session_runs_the_kernel_once(self, workload, seed, monkeypatch):
-        kernel = _HeldKernel(monkeypatch)
-        spec = _mc_spec(workload, seed)
-
-        async def herd(session):
-            async with AsyncSession(session) as s:
-                tasks = [asyncio.create_task(s.execute(spec)) for _ in range(_HERD)]
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(
-                    None, _wait_for, lambda: _coalesced(session) - before >= _HERD - 1
-                )
-                kernel.release.set()
-                return await asyncio.gather(*tasks)
-
-        with workload.open_session() as session:
-            before = _coalesced(session)
-            results = asyncio.run(herd(session))
-            coalesced = _coalesced(session) - before
-        assert kernel.calls == 1
-        assert coalesced == _HERD - 1
-        assert all(result is results[0] for result in results)
-
 
 class _HeldBuild:
     """Wraps ``record_build``: the first build reads storage, then
@@ -261,30 +254,27 @@ class TestStaleJoin:
         assert dict(late_box["value"].scores) == fresh
         assert dict(leader_box["value"].scores) != fresh
 
-    def test_async_session_is_not_joined_across_a_write(self, workload, monkeypatch):
+    def test_http_is_not_joined_across_a_write(self, layered, monkeypatch):
         build = _HeldBuild(monkeypatch)
-        spec = workload.spec(**_SPEC_METHOD)
-
-        async def run(session):
-            async with AsyncSession(session) as s:
-                leader = asyncio.create_task(s.execute(spec))
-                loop = asyncio.get_running_loop()
-                try:
-                    assert await loop.run_in_executor(None, build.read.wait, 10)
-                    workload.refresh_entity_weights(count=16, rng=3)
-                    # runs to completion while the leader is still held
-                    late = await asyncio.wait_for(s.execute(spec), 10)
-                finally:
-                    build.release.set()
-                return await leader, late
-
-        with workload.open_session() as session:
-            stale, late = asyncio.run(run(session))
+        spec = layered.spec(**_SPEC_METHOD)
+        with _served(layered) as session, serve(session) as running:
+            leader, leader_box = _in_thread(lambda: _post_execute(running.url, spec))
+            try:
+                assert build.read.wait(10)
+                layered.refresh_entity_weights(count=16, rng=3)
+                late, late_box = _in_thread(lambda: _post_execute(running.url, spec))
+                late.join(10)
+                assert not late.is_alive(), "the late request joined the stale flight"
+            finally:
+                build.release.set()
+            leader.join(10)
             assert session.stats_snapshot().coalesced_queries == 0
 
-        fresh = _cold_scores(workload, spec)
-        assert dict(late.scores) == fresh
-        assert dict(stale.scores) != fresh
+        with layered.open_session(config=_COLD) as cold:
+            fresh = json.loads(cold.execute(spec).to_json())
+        assert late_box["value"] == (200, fresh)
+        assert leader_box["value"][0] == 200
+        assert leader_box["value"][1]["entities"] != fresh["entities"]
 
 
 class TestAdmission:
@@ -476,3 +466,120 @@ class TestRetention:
             session.execute(specs[0])  # evicted: it runs again
             assert gathered == [specs[0]]
             assert len(session._inflight._settled) == 2
+
+    def test_seeded_monte_carlo_is_served_by_the_score_cache(self, layered):
+        spec = _mc_spec(layered, 7)
+        with _served(layered) as session:
+            first = session.execute(spec)
+            assert not session._inflight._settled
+            before = session.stats_snapshot()
+            again = session.execute(spec)
+            after = session.stats_snapshot()
+            assert not session._inflight._settled
+        assert after.score_hits - before.score_hits == layered.shards
+        assert dict(again.scores) == dict(first.scores)
+
+
+class _HeldGather:
+    """Replaces ``session._gather``: every call gathers and then waits
+    for ``release``; the first then raises ``error``, when given,
+    instead of returning."""
+
+    def __init__(self, session, error=None):
+        self.calls = 0
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.error = error
+        self._real = session._gather
+        self._lock = threading.Lock()
+
+    def __call__(self, spec):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        gathered = self._real(spec)
+        self.started.set()
+        assert self.release.wait(30), "the test never released the gather"
+        if first and self.error is not None:
+            raise self.error
+        return gathered
+
+
+class TestFailedFlight:
+    """A failed flight reaches every waiter and is evicted before they
+    wake, so the next identical request runs again."""
+
+    @pytest.mark.parametrize("door", ["execute", "http"])
+    def test_every_waiter_gets_the_error_and_the_next_request_retries(
+        self, layered, monkeypatch, door
+    ):
+        spec = layered.spec(method="in_edge")
+        with _served(layered) as session, serve(session) as running:
+            held = _HeldGather(session, RankingError("the backend exploded"))
+            monkeypatch.setattr(session, "_gather", held)
+
+            def call():
+                if door == "http":
+                    return _post_execute(running.url, spec)
+                try:
+                    return session.execute(spec)
+                except RankingError as exc:
+                    return exc
+
+            outcomes, coalesced = _run_herd(session, held, call)
+            assert session._inflight._flights == {}
+            retry = call()
+        assert coalesced == _HERD - 1
+        assert held.calls == 2  # the herd's one failed run, then the retry
+        if door == "http":
+            error = {"error": {"type": "RankingError", "message": "the backend exploded"}}
+            assert outcomes == [(400, error)] * _HERD
+            assert retry[0] == 200 and retry[1]["total"] > 0
+        else:
+            assert all(outcome is held.error for outcome in outcomes)
+            assert dict(retry.scores) == _cold_scores(layered, spec)
+
+
+class TestCloseWhileQueued:
+    def test_a_queued_leader_and_its_followers_fail(self, layered, monkeypatch):
+        running_spec = layered.spec(method="in_edge")
+        queued_spec = layered.spec(method="path_count")
+        session = _served(layered, dict(max_concurrency=1, max_queue_depth=4))
+        gate = session.admission
+        held = _HeldGather(session)
+        monkeypatch.setattr(session, "_gather", held)
+        outcomes = {}
+
+        def client(name, spec):
+            try:
+                outcomes[name] = session.execute(spec)
+            except RankingError as exc:
+                outcomes[name] = exc
+
+        try:
+            running = threading.Thread(target=client, args=("running", running_spec), daemon=True)
+            running.start()
+            assert held.started.wait(10)  # holds the only slot
+            before = _coalesced(session)
+            herd = [
+                threading.Thread(target=client, args=(name, queued_spec), daemon=True)
+                for name in ("leader", "follower-1", "follower-2")
+            ]
+            herd[0].start()
+            assert _wait_for(lambda: gate.queued == 1)
+            for thread in herd[1:]:
+                thread.start()
+            assert _wait_for(lambda: _coalesced(session) - before == 2)
+            session.close()
+            held.release.set()
+            for thread in [running, *herd]:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            held.release.set()
+            session.close()
+        assert dict(outcomes.pop("running").scores)
+        errors = list(outcomes.values())
+        assert len(errors) == 3 and all(error is errors[0] for error in errors)
+        assert isinstance(errors[0], RankingError) and "closed" in str(errors[0])
+        assert gate.in_flight == 0 and gate.queued == 0

@@ -147,6 +147,23 @@ class TestLazyExports:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_a_bounded_server_skips_asyncio(self):
+        probe = (
+            "import sys, repro.serving.server\n"
+            "from repro.api import EngineConfig, open_session\n"
+            "session = open_session(config=EngineConfig(max_queue_depth=4))\n"
+            "assert session.admission is not None\n"
+            "session.close()\n"
+            "heavy = ['asyncio', 'repro.async_.session']\n"
+            "print([name for name in heavy if name in sys.modules])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_every_export_resolves(self):
         for name in repro.serving.__all__:
             assert getattr(repro.serving, name) is not None, name

@@ -51,21 +51,32 @@ def _raw_exchange(host, port, request_bytes, timeout=10.0):
         return b"".join(chunks)
 
 
+#: route -> (request body around one spec dict, answers in the reply)
+_ADMITTED_ROUTES = {
+    "/execute": (lambda spec: spec, lambda body: body["total"]),
+    "/execute_many": (
+        lambda spec: {"specs": [spec]},
+        lambda body: body["results"][0]["total"],
+    ),
+    "/explain": (lambda spec: spec, lambda body: body["answers"]),
+}
+
+
 class TestOverload:
-    def test_full_queue_sheds_503_with_retry_after(self, workload):
+    @pytest.mark.parametrize("path", sorted(_ADMITTED_ROUTES))
+    def test_full_queue_sheds_503_with_retry_after(self, workload, path):
         config = EngineConfig(
             max_concurrency=1, max_queue_depth=0, retry_after=2.5
         )
         session = workload.open_session(config=config, sharded=False)
-        spec = workload.spec(method="in_edge").to_dict()
+        wrap, answers = _ADMITTED_ROUTES[path]
+        spec = wrap(workload.spec(method="in_edge").to_dict())
         with serve(session) as running:
             gate = session.admission
             assert gate is not None
             gate.acquire()  # occupy the only slot: the server is "busy"
             try:
-                status, headers, body = _post_error(
-                    running.url, "/execute", spec
-                )
+                status, headers, body = _post_error(running.url, path, spec)
                 assert status == 503
                 assert body["error"]["type"] == "OverloadedError"
                 assert "retry after 2.5s" in body["error"]["message"]
@@ -74,9 +85,9 @@ class TestOverload:
             finally:
                 gate.release()
             # load gone: the same request is admitted and served
-            status, body = _post(running.url, "/execute", spec)
+            status, body = _post(running.url, path, spec)
             assert status == 200
-            assert body["total"] > 0
+            assert answers(body) > 0
             assert session.stats_snapshot().shed_queries == 1
 
     def test_unbounded_config_exposes_no_gate(self, workload):

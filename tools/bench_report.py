@@ -58,13 +58,6 @@ SNAPSHOTS = {
             "test_warm_process",
         ),
     },
-    "BENCH_10.json": {
-        "suite": "benchmarks/test_bench_async.py",
-        "expected": (
-            "test_async_clients",
-            "test_threaded_execute_many",
-        ),
-    },
 }
 
 
