@@ -12,11 +12,8 @@ Two questions on the sharded mediated serving workload (2 shards):
   traffic: N locked socket round trips + fragment decode + merge,
   versus thread mode's N in-process cache probes.
 
-The snapshot committed as ``BENCH_9.json`` (via
-``tools/bench_report.py --write --report BENCH_9.json``) records the
-measured shape; correctness (process == thread bit-identity) is
-asserted inline on every run, including ``--benchmark-disable`` smoke
-runs.
+Correctness (process == thread bit-identity) is asserted inline on
+every run, including ``--benchmark-disable`` smoke runs.
 """
 
 import pytest

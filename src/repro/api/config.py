@@ -202,10 +202,11 @@ class EngineConfig:
     #: ``docs/architecture.md``); ``False`` re-materialises cold on any
     #: relevant change
     incremental: bool = True
-    #: thread-pool width for ``Session.execute_many``'s traversal
-    #: groups, on every session; 0 or 1 runs the groups in sequence
-    #: (specs still share graph materialisation work). Each group still
-    #: scatters across its relevant shards, as wide as the shard count
+    #: thread-pool width for the distinct specs of a
+    #: ``Session.execute_many`` batch, on every session; 0 or 1 runs them
+    #: in sequence (specs sharing a traversal still share its build, and
+    #: run in order on one thread). Each spec still scatters across its
+    #: relevant shards, as wide as the shard count
     max_workers: int = 4
     #: storage backend for databases created through this session
     #: (``Session.create_database`` and the workload generators):

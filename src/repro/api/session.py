@@ -17,13 +17,15 @@ Every execution scatters the spec to its relevant shards and merges
 their fragments (:mod:`repro.engine.sharded`). Unsharded means one
 shard owning every answer, whose engine is :attr:`Session.engine`.
 
-``execute_many`` runs independent specs as a batch: identical specs are
-deduplicated, specs that share a traversal (same entity set, attribute
-and value — output sets only *filter* the answer set, they never change
-the expansion) share one graph materialisation, and independent
-traversal groups run on a thread pool. ``explain`` answers "what would
-this spec cost and where would it be served from" with build statistics
-and cache provenance.
+``execute_many`` runs independent specs as a batch through the same
+single-flight as ``execute``: identical specs are answered once, the
+flights the batch leads share one admission and run on a thread pool.
+Specs that share a traversal (same entity set, attribute and value)
+share one graph materialisation per shard, in a batch or not: output
+sets only pick answers among the records reached, and each shard
+engine's query cache keys the expansion alone. ``explain`` answers
+"what would this spec cost and where would it be served from" with
+build statistics and cache provenance.
 """
 
 from __future__ import annotations
@@ -213,8 +215,8 @@ class Session:
             if router is None
             else partial(ShardedResultSet, engine=self._scatter)
         )
-        # the execute_many spec-group pool: created lazily on the first
-        # parallel batch, reused across calls, reaped by close()
+        # the execute_many pool: created lazily on the first parallel
+        # batch, reused across calls, reaped by close()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._admission: Optional[AdmissionGate] = None
@@ -290,9 +292,10 @@ class Session:
         Built from ``config.max_concurrency`` /
         ``config.max_queue_depth`` / ``config.retry_after`` and wired to
         the engine's queued/shed counters. Every front door admits
-        through it once per flight leader, batch or explanation; not a
-        request served by a settled answer, nor a call made inside
-        ``with session.admission:`` on the same thread."""
+        through it once per flight leader, batch that leads a flight,
+        or explanation; not a request served by a settled answer, nor a
+        call made inside ``with session.admission:`` on the same
+        thread. Closing the session fails every queued request."""
         return self._admission
 
     def register(self, *sources: DataSource) -> "Session":
@@ -375,14 +378,9 @@ class Session:
         found, leader = self._join(spec)  # checks the session is open
         if leader is None:
             return found
-        if not leader:
-            return found.result()
-        try:
-            gathered = self._admitted(self._gather, spec)
-        except BaseException as exc:
-            self._inflight.settle(spec, found, error=exc)
-            raise
-        return self._settle(spec, found, gathered)
+        if leader:
+            self._lead([(spec, found)])
+        return found.result()
 
     def _join(self, spec: QuerySpec) -> Tuple[Any, Optional[bool]]:
         """``spec``'s settled answer as a fresh result (``None``), or its
@@ -412,7 +410,7 @@ class Session:
 
     def _settle(
         self, spec: QuerySpec, flight: "Future[ResultSet]", gathered: GatherResult
-    ) -> ResultSet:
+    ) -> None:
         """Resolve ``spec``'s flight with ``gathered`` as the result every
         waiter shares. ``gathered`` is retained as the settled answer
         when the session retains answers and ``spec`` is deterministic:
@@ -425,7 +423,6 @@ class Session:
         )
         result = self._result(gathered.copy() if retain else gathered, spec=spec)
         self._inflight.settle(spec, flight, result, retain=gathered if retain else None)
-        return result
 
     def _admitted(self, fn: Callable[..., _T], *args: object) -> _T:
         """``fn(*args)`` under one admission through :attr:`admission`,
@@ -440,6 +437,57 @@ class Session:
         """``spec`` gathered, neither admitted nor coalesced."""
         return self._scatter.gather(spec)
 
+    def _lead(
+        self,
+        flights: List[Tuple[QuerySpec, "Future[ResultSet]"]],
+        max_workers: Optional[int] = None,
+    ) -> None:
+        """Gather and settle the flights this caller leads, under one
+        admission. A refused admission, or an interrupt, settles every
+        flight still pending with its error and raises it."""
+        try:
+            self._admitted(self._run_flights, flights, max_workers)
+        except BaseException as exc:
+            for spec, flight in flights:
+                if not flight.done():
+                    self._inflight.settle(spec, flight, error=exc)
+            raise
+
+    def _run_flights(
+        self,
+        flights: List[Tuple[QuerySpec, "Future[ResultSet]"]],
+        max_workers: Optional[int],
+    ) -> None:
+        """Settle each flight with its gathered result or its error, on
+        the session pool when there are several. Flights that share a
+        traversal run in order on one thread, so the first expands it
+        and the rest are answered from the shard caches."""
+        by_traversal: Dict[Tuple, List[Tuple[QuerySpec, "Future[ResultSet]"]]] = {}
+        for flight in flights:
+            by_traversal.setdefault(flight[0].traversal_signature, []).append(flight)
+
+        def run(group: List[Tuple[QuerySpec, "Future[ResultSet]"]]) -> None:
+            for spec, flight in group:
+                try:
+                    self._settle(spec, flight, self._gather(spec))
+                except Exception as exc:  # this spec's own outcome
+                    self._inflight.settle(spec, flight, error=exc)
+
+        groups = list(by_traversal.values())
+        workers = self._config.max_workers if max_workers is None else max_workers
+        if workers <= 1 or len(groups) == 1:
+            for group in groups:
+                run(group)
+        elif workers == self._config.max_workers:
+            # the session's persistent pool: repeated batches pay no
+            # thread spawn/teardown
+            list(self._executor().map(run, groups))
+        else:
+            # an explicit non-default width gets a transient pool of
+            # exactly that size
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, groups))
+
     def execute_many(
         self,
         specs: Iterable[SpecLike],
@@ -448,15 +496,18 @@ class Session:
     ) -> List[Union[ResultSet, ReproError]]:
         """Execute a batch of independent specs, set-at-a-time.
 
-        Batching beats a loop of :meth:`execute` three ways: identical
-        specs are answered once, specs sharing a traversal (same entity
-        set / attribute / value) share a single graph materialisation
-        per shard regardless of their output sets, and distinct
-        traversal groups run on a thread pool of ``max_workers`` threads
-        (default: the session config's ``max_workers``).
+        Each distinct spec runs as :meth:`execute` runs it: a settled
+        answer serves it, an identical spec in flight is joined, and
+        otherwise the batch leads its flight. The flights the batch
+        leads share one admission and run on a thread pool of
+        ``max_workers`` threads (default: the session config's
+        ``max_workers``); specs that share a traversal (same entity
+        set / attribute / value) build it once per shard whatever their
+        output sets. Identical specs share one result.
 
         Results come back in spec order. With ``return_errors=True`` a
-        failing spec yields its exception in place instead of raising.
+        failing spec yields its library error in place instead of
+        raising.
 
         Example::
 
@@ -470,53 +521,26 @@ class Session:
         """
         self._check_open()
         coerced = [self._coerce(spec) for spec in specs]
-        results: List[Optional[Union[ResultSet, ReproError]]] = [None] * len(coerced)
-
-        # identical specs collapse into one execution
-        slots: Dict[QuerySpec, List[int]] = {}
-        for index, spec in enumerate(coerced):
-            slots.setdefault(spec, []).append(index)
-
-        # specs sharing a traversal share one materialised graph
-        groups: Dict[Tuple, List[QuerySpec]] = {}
-        for spec in slots:
-            groups.setdefault(spec.traversal_signature, []).append(spec)
-        group_list = list(groups.values())
-
-        # one admission per batch
-        group_results = self._admitted(self._gather_groups, group_list, max_workers)
-        for group, gathered in zip(group_list, group_results):
-            for spec, outcome in zip(group, gathered):
-                if isinstance(outcome, GatherResult):
-                    outcome = self._result(outcome, spec=spec)
-                for index in slots[spec]:
-                    results[index] = outcome
-        if not return_errors:
-            for outcome in results:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        return results  # type: ignore[return-value]
-
-    def _gather_groups(
-        self, group_list: List[List[QuerySpec]], max_workers: Optional[int]
-    ) -> List[List[Union[GatherResult, ReproError]]]:
-        run = self._scatter.gather_group
-        workers = self._config.max_workers if max_workers is None else max_workers
-        if workers > 1 and len(group_list) > 1:
-            if workers == self._config.max_workers:
-                # the session's persistent pool — hoisted out of the
-                # call so repeated batches stop paying thread
-                # spawn/teardown on every invocation
-                return list(self._executor().map(run, group_list))
-            # an explicit non-default width gets a transient pool of
-            # exactly that size
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(run, group_list))
-        return [run(group) for group in group_list]
+        joined = {spec: self._join(spec) for spec in dict.fromkeys(coerced)}
+        led = [(spec, found) for spec, (found, leader) in joined.items() if leader]
+        if led:
+            self._lead(led, max_workers)
+        # followers wait only once the batch's slot is given back: their
+        # leaders may be queued behind it
+        results: List[Union[ResultSet, ReproError]] = []
+        for spec in coerced:
+            found, leader = joined[spec]
+            if leader is not None:
+                error = found.exception()
+                if error is not None and not (return_errors and isinstance(error, ReproError)):
+                    raise error
+                found = error or found.result()
+            results.append(found)
+        return results
 
     def _executor(self) -> ThreadPoolExecutor:
-        """The session's persistent spec-group pool (lazily created,
-        sized ``config.max_workers``, reaped by :meth:`close`)."""
+        """The session's persistent batch pool (lazily created, sized
+        ``config.max_workers``, reaped by :meth:`close`)."""
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
@@ -668,6 +692,10 @@ class Session:
         if not self._closed:
             self._closed = True
             self._inflight = SingleFlight()  # drops the settled answers
+            if self._admission is not None:
+                # requests queued for a slot fail now, not when the
+                # running ones give their slots back
+                self._admission.fail_queued(RankingError("this session is closed"))
             try:
                 self._engine.invalidate()
             finally:

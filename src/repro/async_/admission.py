@@ -107,14 +107,23 @@ class AdmissionGate:
             return waiter
 
     def _abandon(self, waiter: "Future[None]") -> None:
-        """Leave the queue after an interrupted wait, giving back the
-        slot if one was already handed over."""
-        if not waiter.cancel():
+        """Leave the queue after a failed or interrupted wait, giving
+        back the slot if one was already handed over."""
+        if waiter.cancel():
+            with self._lock:
+                if waiter in self._waiters:
+                    self._waiters.remove(waiter)
+        elif waiter.exception() is None:
             self.release()  # the slot was handed over already
-            return
+
+    def fail_queued(self, error: BaseException) -> None:
+        """Fail every queued request with ``error`` at once; none of
+        them was handed a slot, so none gives one back."""
         with self._lock:
-            if waiter in self._waiters:
-                self._waiters.remove(waiter)
+            waiters, self._waiters = self._waiters, deque()
+        for waiter in waiters:
+            if waiter.set_running_or_notify_cancel():
+                waiter.set_exception(error)
 
     def acquire(self) -> None:
         """Take one execution slot, blocking in the admission queue if

@@ -12,17 +12,21 @@ instead of a scoring pass.
 
 Three caches cooperate:
 
-* the **query cache** maps an exploratory query's canonical signature
-  to the materialised ``QueryGraph`` plus the mediator's *epoch
-  snapshot* at execution (bounded LRU). The snapshot records a version
+* the **query cache** maps an exploratory query's traversal (entity
+  set, attribute, value and builder) to its materialised expansion plus
+  the mediator's *epoch snapshot* at execution (bounded LRU). Output
+  sets only pick answers among the records reached, so queries that
+  differ only in them share one build: each output set gets its own
+  answer view of the expansion, kept beside it so the view's compiled
+  form and scores stay cached. The snapshot records a version
   per bound table, so a probe can ask the mediator precisely *which*
   tables changed (:meth:`~repro.integration.mediator.Mediator.changes_since`)
   instead of discarding the entry on any epoch movement. Changes to
   tables the cached build never read still count as hits; changes to
   tables it did read are replayed through the recorded probe cache
   (:mod:`repro.integration.incremental`) to *repair* the entry — a
-  rebuild that re-probes storage only for dirty keys and patches the
-  compiled CSR in place, bit-identical to a cold rebuild. Source
+  rebuild that re-probes storage only for dirty keys and patches every
+  compiled view's CSR in place, bit-identical to a cold rebuild. Source
   registrations, confidence tuning and overflowed change logs still
   invalidate cold. ``incremental=False`` disables recording and
   repair (every relevant change then re-materialises cold);
@@ -49,20 +53,34 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.compile import CompiledGraph, compile_graph, patch_compiled
-from repro.core.graph import QueryGraph
+from repro.core.graph import ProbabilisticEntityGraph, QueryGraph
 from repro.core.kernels import reduced_compiled, samples_reduced_graph
 from repro.core.ranker import BACKENDS, RankedResult, rank, resolve_method
 from repro.core.reliability import STOCHASTIC_STRATEGIES
-from repro.errors import RankingError
+from repro.errors import EmptyAnswerError, RankingError
 from repro.integration.builder import BuildStats
 from repro.integration.incremental import ProbeCache, record_build, repair_build
 from repro.integration.mediator import Mediator, MediatorEpoch
-from repro.integration.query import BUILDERS, ExploratoryQuery
+from repro.integration.query import BUILDERS, ExploratoryQuery, select_answers
 from repro.storage.changes import ChangeSet
 from repro.storage.table import Table
 
@@ -255,6 +273,26 @@ class SingleFlight:
         return result
 
 
+@dataclass(eq=False)
+class _Expansion:
+    """One query-cache entry: a traversal's expansion, the mediator and
+    the epoch snapshot it is known current at, and its answer views."""
+
+    mediator: Mediator
+    snapshot: MediatorEpoch
+    graph: ProbabilisticEntityGraph
+    source: NodeId
+    #: stats of the original materialisation
+    build_stats: BuildStats
+    #: the build's recorded probes (incremental mode, batched builder):
+    #: they scope invalidation to the tables the build read and power
+    #: delta repair
+    probe_cache: Optional[ProbeCache]
+    #: output sets -> their answer view of ``graph`` (guarded by the
+    #: engine lock)
+    views: Dict[FrozenSet[str], QueryGraph]
+
+
 #: one score-cache entry: answer keys plus their float64 scores
 _ScoreEntry = Tuple[Tuple[NodeId, ...], np.ndarray]
 
@@ -373,14 +411,8 @@ class RankingEngine:
             weakref.WeakKeyDictionary()
         )
         self._scores: "OrderedDict[Tuple, _ScoreEntry]" = OrderedDict()
-        #: query signature -> (mediator, its epoch snapshot at execution,
-        #: graph, the build stats of the original materialisation, and —
-        #: under incremental mode with the batched builder — the build's
-        #: recorded probe cache, which both scopes invalidation to the
-        #: tables the build actually read and powers delta repair
-        self._graphs: "OrderedDict[Tuple, Tuple[Mediator, MediatorEpoch, QueryGraph, BuildStats, Optional[ProbeCache]]]" = (
-            OrderedDict()
-        )
+        #: (entity set, attribute, value, builder) -> the expansion
+        self._graphs: "OrderedDict[Tuple, _Expansion]" = OrderedDict()
         #: query-cache key -> the one pending traversal for that key,
         #: tagged with its leader's epoch snapshot; identical queries
         #: that started at the same snapshot await it instead of
@@ -397,7 +429,8 @@ class RankingEngine:
     ) -> QueryGraph:
         """Run ``query`` through the engine's mediator.
 
-        Results are cached by the query's canonical signature. A
+        Expansions are cached by the query's traversal, so queries that
+        differ only in output sets share one build. A
         repeated query against unchanged sources — or sources whose
         changes touch only tables the cached build never read — is a
         dictionary probe (``graph_hits``). Bounded changes to tables
@@ -411,7 +444,9 @@ class RankingEngine:
         (``coalesced_queries``), so N concurrent identical cold queries
         cost one graph miss; one that started after a write runs its
         own. A failed traversal's error reaches every waiter, and the
-        pending entry is evicted so the next request retries cold.
+        pending entry is evicted so the next request retries cold. Each
+        caller selects its own answers, so an output set without any
+        raises its ``EmptyAnswerError`` to that caller alone.
         """
         return self.execute_with_stats(query, builder=builder)[0]
 
@@ -433,12 +468,20 @@ class RankingEngine:
             with self._lock:
                 self.stats.queries_executed += 1
             return qg, build_stats, False
-        mediator = self.mediator
+        entry, graph_cached = self._expansion(query, self.mediator, chosen_builder)
+        return self._view(entry, query.outputs), entry.build_stats, graph_cached
+
+    def _expansion(
+        self, query: ExploratoryQuery, mediator: Mediator, builder: str
+    ) -> Tuple[_Expansion, bool]:
+        """``query``'s traversal expanded over ``mediator`` and current,
+        and whether the query cache (or an identical traversal in
+        flight) supplied it."""
         # snapshot *before* any build reads storage: a mutation landing
         # mid-build is then still newer than the stored snapshot, so the
         # next probe re-examines it instead of missing it
         snapshot = mediator.epoch_snapshot()
-        key = (query.signature, chosen_builder)
+        key = (query.entity_set, query.attribute, query.value, builder)
         with self._lock:
             cached = self._graphs.get(key)
         # the entry must come from *this* mediator (the attribute is
@@ -446,25 +489,22 @@ class RankingEngine:
         # structural change, or exactly which bound tables moved since
         # the entry's snapshot
         changes = (
-            mediator.changes_since(cached[1])
-            if cached is not None and cached[0] is mediator
+            mediator.changes_since(cached.snapshot)
+            if cached is not None and cached.mediator is mediator
             else None
         )
         if changes is not None:
-            qg, build_stats, probe_cache = cached[2:]
-            relevant = _read_changes(changes, probe_cache)
+            relevant = _read_changes(changes, cached.probe_cache)
             if not relevant:
                 with self._lock:
                     self._graph_hit(key, cached, snapshot)
-                return qg, build_stats, True
-            if probe_cache is not None and not any(
+                return cached, True
+            if cached.probe_cache is not None and not any(
                 cs.full for cs in relevant.values()
             ):
-                repaired = self._repair(
-                    key, cached, query, mediator, snapshot, relevant
-                )
+                repaired = self._repair(key, cached, query, mediator, snapshot, relevant)
                 if repaired is not None:
-                    return repaired
+                    return repaired, False
         # cold: join an identical traversal that started at this same
         # snapshot (single-flight), or lead one. A traversal that began
         # before a write this caller saw committed is never joined.
@@ -477,50 +517,67 @@ class RankingEngine:
             else:
                 self.stats.coalesced_queries += 1
         if not leader:
-            qg, build_stats = flight.result()
-            return qg, build_stats, True
+            return flight.result(), True
 
-        def build() -> Tuple[QueryGraph, BuildStats]:
+        def build() -> _Expansion:
             # cached before the flight is evicted: a request arriving
             # meanwhile either finds the cache entry or joins the flight
-            if self.incremental and chosen_builder == "batched":
-                qg, build_stats, probe_cache = record_build(query, mediator)
+            if self.incremental and builder == "batched":
+                expansion = record_build(query, mediator)
             else:
-                qg, build_stats = query.execute(mediator, builder=chosen_builder)
-                probe_cache = None
+                expansion = (*query.expand(mediator, builder=builder), None)
+            entry = _Expansion(mediator, snapshot, *expansion, {})
             with self._lock:
                 self.stats.queries_executed += 1
-                self._graphs[key] = (mediator, snapshot, qg, build_stats, probe_cache)
-                while len(self._graphs) > self.max_cached_graphs:
-                    self._graphs.popitem(last=False)
-            return qg, build_stats
+                self._store(key, entry)
+            return entry
 
-        qg, build_stats = self._inflight.lead(key, flight, build)
-        return qg, build_stats, False
+        return self._inflight.lead(key, flight, build), False
 
-    def _graph_hit(self, key: Tuple, cached: Tuple, snapshot: MediatorEpoch) -> None:
+    def _store(self, key: Tuple, entry: _Expansion) -> None:
+        """Cache ``entry`` as the most recent one (lock held)."""
+        self._graphs[key] = entry
+        self._graphs.move_to_end(key)
+        while len(self._graphs) > self.max_cached_graphs:
+            self._graphs.popitem(last=False)
+
+    def _view(self, entry: _Expansion, outputs: FrozenSet[str]) -> QueryGraph:
+        """The ``outputs`` answer view of ``entry``'s expansion, selected
+        once per entry (the same filter, and the same empty-answer
+        error, as :meth:`ExploratoryQuery.execute`)."""
+        with self._lock:
+            view = entry.views.get(outputs)
+        if view is None:
+            answers = select_answers(entry.graph, entry.graph.nodes(), outputs)
+            with self._lock:
+                view = entry.views.setdefault(
+                    outputs, QueryGraph(entry.graph, entry.source, answers)
+                )
+        return view
+
+    def _graph_hit(self, key: Tuple, cached: _Expansion, snapshot: MediatorEpoch) -> None:
         """Count a query-cache hit on ``cached`` and refresh its snapshot,
         so future probes diff the shortest change window (lock held)."""
         self.stats.graph_hits += 1
         if self._graphs.get(key) is cached:
-            self._graphs[key] = (cached[0], snapshot, *cached[2:])
+            cached.snapshot = snapshot
             self._graphs.move_to_end(key)
 
     def _repair(
         self,
         key: Tuple,
-        cached: Tuple,
+        cached: _Expansion,
         query: ExploratoryQuery,
         mediator: Mediator,
         snapshot: MediatorEpoch,
         changes: Dict[Table, ChangeSet],
-    ) -> Optional[Tuple[QueryGraph, BuildStats, bool]]:
-        """Bring the cached entry current by delta replay; ``None`` means
-        the caller should fall back to a cold rebuild."""
-        _, _, old_qg, _, probe_cache = cached
+    ) -> Optional[_Expansion]:
+        """Bring the cached entry current by delta replay, patching the
+        compiled form of each of its compiled views; ``None`` means the
+        caller should fall back to a cold rebuild."""
         try:
-            qg, build_stats, fresh_cache, dirty_nodes = repair_build(
-                query, mediator, probe_cache, changes
+            graph, source, build_stats, fresh_cache, dirty_nodes = repair_build(
+                query, mediator, cached.probe_cache, changes
             )
         except Exception:
             # a repair must never be load-bearing: drop the entry and
@@ -529,25 +586,30 @@ class RankingEngine:
                 if self._graphs.get(key) is cached:
                     del self._graphs[key]
             return None
+        entry = _Expansion(mediator, snapshot, graph, source, build_stats, fresh_cache, {})
         with self._lock:
-            old_compiled = self._compiled.get(old_qg)
-        compiled = (
-            patch_compiled(old_compiled, qg, dirty_nodes)
-            if old_compiled is not None
-            else None
-        )
+            compiled_views = [
+                (outputs, self._compiled.get(view))
+                for outputs, view in cached.views.items()
+            ]
+        patched = []
+        for outputs, old_compiled in compiled_views:
+            if old_compiled is None:
+                continue  # selected again on first use
+            try:
+                view = self._view(entry, outputs)
+            except EmptyAnswerError:
+                continue  # the output sets lost every answer
+            patched.append((view, patch_compiled(old_compiled, view, dirty_nodes)))
         with self._lock:
             self.stats.graph_repairs += 1
             self.stats.queries_executed += 1
-            self._graphs[key] = (mediator, snapshot, qg, build_stats, fresh_cache)
-            self._graphs.move_to_end(key)
-            while len(self._graphs) > self.max_cached_graphs:
-                self._graphs.popitem(last=False)
-            if compiled is not None:
+            self._store(key, entry)
+            for view, compiled in patched:
                 # an unchanged-byte repair keeps the old fingerprint, so
                 # the score cache keeps hitting across the mutation
-                self._compiled.setdefault(qg, compiled)
-        return qg, build_stats, False
+                self._compiled.setdefault(view, compiled)
+        return entry
 
     def execute_many(
         self,
@@ -660,7 +722,7 @@ class RankingEngine:
                 for key in stale:
                     del self._scores[key]
             stale_graphs = [
-                k for k, (_, _, cached, _, _) in self._graphs.items() if cached is qg
+                k for k, entry in self._graphs.items() if entry.graph is qg.graph
             ]
             for key in stale_graphs:
                 del self._graphs[key]

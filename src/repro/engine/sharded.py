@@ -24,8 +24,9 @@ The process-sharded engine (:mod:`repro.serving.engine`) is the
 sibling of :class:`ShardedEngine` over the same :class:`ShardScatter`
 base: its workers call the same :func:`score_fragment`, and the
 supervisor decodes their replies into the same :class:`ShardFragment`
-for the same :func:`merge_fragments`. Only thread shards build a
-batch's shared traversal once.
+for the same :func:`merge_fragments`. In both modes a shard builds a
+traversal once whatever the output sets: its engine's query cache keys
+the expansion, and each output set ranks its own answer view of it.
 
 Equivalence rests on the ancestor-closure rule enforced by
 :func:`repro.integration.partition.partition_mediator`: only traversal
@@ -49,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import weakref
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -74,7 +74,7 @@ if TYPE_CHECKING:
 
 from repro.core.graph import QueryGraph
 from repro.engine.ranking import EngineStats, RankingEngine
-from repro.errors import EmptyAnswerError, QueryError, RankingError, ReproError, SchemaError
+from repro.errors import EmptyAnswerError, QueryError, RankingError, SchemaError
 from repro.integration.builder import BuildStats, NodePayload
 from repro.integration.mediator import Mediator
 from repro.integration.partition import (
@@ -83,7 +83,7 @@ from repro.integration.partition import (
     sink_entity_sets,
     source_partition_message,
 )
-from repro.integration.query import ExploratoryQuery, select_answers
+from repro.integration.query import ExploratoryQuery
 
 __all__ = [
     "GatherResult",
@@ -488,33 +488,18 @@ def score_fragment(
     :func:`merge_fragments`."""
     started = time.perf_counter()
     try:
-        built = engine.execute_with_stats(spec.to_exploratory())
+        qg, build_stats, graph_cached = engine.execute_with_stats(spec.to_exploratory())
     except EmptyAnswerError as exc:
         return ShardFragment(
             shard, build_seconds=time.perf_counter() - started, empty=exc
         )
-    return _ranked_fragment(
-        engine, router, shard, spec, built, time.perf_counter() - started
-    )
-
-
-def _ranked_fragment(
-    engine: RankingEngine,
-    router: ShardRouter,
-    shard: int,
-    spec: "QuerySpec",
-    built: Tuple[QueryGraph, BuildStats, bool],
-    build_seconds: float,
-) -> ShardFragment:
-    """Rank ``spec`` on a shard's built query graph and keep the answers
-    ``shard`` owns. The shard of a one-shard router owns them all: it
-    adopts the fresh score dict without an ownership probe and reports
-    the whole graph."""
-    qg, build_stats, graph_cached = built
-    started = time.perf_counter()
+    ranked_at = time.perf_counter()
     ranked, score_cached = engine.rank_with_stats(
         qg, spec.method, **spec.options.to_kwargs(spec.method, spec.seed)
     )
+    # the shard of a one-shard router owns every answer: it adopts the
+    # fresh score dict without an ownership probe and reports the whole
+    # graph
     if router.shards == 1:
         fragment = ShardFragment(
             shard, ranked.scores, graph=qg, whole=True,
@@ -528,9 +513,9 @@ def _ranked_fragment(
             payload = data(node)
             if owner(payload.entity_set, payload.key) == shard:
                 fragment.scores[node] = ranked.scores[node]
-    fragment.build_stats, fragment.build_seconds = build_stats, build_seconds
+    fragment.build_stats, fragment.build_seconds = build_stats, ranked_at - started
     fragment.graph_cached, fragment.score_cached = graph_cached, score_cached
-    fragment.rank_seconds = time.perf_counter() - started
+    fragment.rank_seconds = time.perf_counter() - ranked_at
     return fragment
 
 
@@ -606,8 +591,7 @@ class ShardScatter:
     """The scatter machinery both shard modes share: the relevant-shard
     routing, a persistent scatter pool, and the hand-off to
     :func:`merge_fragments`. Each mode supplies how one shard runs a
-    spec (:meth:`_run`), and may run a traversal group more cheaply
-    than spec by spec (:meth:`_run_group`)."""
+    spec (:meth:`_run`)."""
 
     #: how the shards run, as a session reports it
     mode = "thread"
@@ -633,29 +617,9 @@ class ShardScatter:
         outcomes = self._map(self._run, relevant, spec)
         return merge_fragments(spec.method, relevant, outcomes)
 
-    def gather_group(
-        self, specs: Sequence["QuerySpec"]
-    ) -> List[Union[GatherResult, ReproError]]:
-        """Gather specs that share one traversal (same entity set,
-        attribute and value), one result or library error per spec."""
-        relevant = self.router.relevant_shards(specs[0])
-        per_shard = self._map(self._run_group, relevant, specs)
-        gathered: List[Union[GatherResult, ReproError]] = []
-        for index, spec in enumerate(specs):
-            outcomes = [shard_outcomes[index] for shard_outcomes in per_shard]
-            try:
-                gathered.append(merge_fragments(spec.method, relevant, outcomes))
-            except ReproError as exc:
-                gathered.append(exc)
-        return gathered
-
     def _run(self, shard: int, spec: "QuerySpec") -> Outcome:
         """One shard's outcome for ``spec``."""
         raise NotImplementedError
-
-    def _run_group(self, shard: int, specs: Sequence["QuerySpec"]) -> List[Outcome]:
-        """One shard's outcome for each spec of a traversal group."""
-        return [self._run(shard, spec) for spec in specs]
 
     def _map(self, run: Callable[[int, Any], Any], relevant: List[int], arg: Any) -> List[Any]:
         """``run(shard, arg)`` for every relevant shard, on the scatter
@@ -724,13 +688,6 @@ class ShardedEngine(ShardScatter):
             RankingEngine(mediator=mediator, **(engine_options or {}))
             for mediator in router.mediators
         ]
-        #: union graph -> its answer-set views (see :meth:`_run_group`),
-        #: weakly keyed so the views live as long as the cached union;
-        #: weakref containers are not thread-safe, hence the lock
-        self._views: "weakref.WeakKeyDictionary[QueryGraph, Dict[Tuple[str, ...], QueryGraph]]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._views_lock = threading.Lock()
 
     @property
     def shards(self) -> int:
@@ -741,62 +698,6 @@ class ShardedEngine(ShardScatter):
             return "ok", score_fragment(self.engines[shard], self.router, shard, spec)
         except Exception as exc:  # classified by merge_fragments
             return "error", exc
-
-    def _run_group(self, shard: int, specs: Sequence["QuerySpec"]) -> List[Outcome]:
-        """:meth:`_run` for each spec of a group, but building the
-        shared traversal once: output sets only *filter* the answer set,
-        so the union of the group's output sets is built and every spec
-        ranks its own answer-set view of it."""
-        if len(specs) == 1:
-            return [self._run(shard, specs[0])]
-        engine = self.engines[shard]
-        union_outputs = sorted(set().union(*(spec.outputs for spec in specs)))
-        base = specs[0]
-        started = time.perf_counter()
-        try:
-            built = engine.execute_with_stats(ExploratoryQuery(
-                base.entity_set, base.attribute, base.value, union_outputs
-            ))
-        except Exception:
-            # the union failed (e.g. no answers in *any* requested set);
-            # score spec by spec, so each gets the outcome it gets alone
-            return super()._run_group(shard, specs)
-        build_seconds = time.perf_counter() - started
-        outcomes: List[Outcome] = []
-        for spec in specs:
-            try:
-                qg = self._view(built[0], union_outputs, spec.outputs)
-                outcomes.append(("ok", _ranked_fragment(
-                    engine, self.router, shard, spec,
-                    (qg, built[1], built[2]), build_seconds,
-                )))
-            except EmptyAnswerError as exc:  # this shard has none of them
-                outcomes.append(("ok", ShardFragment(
-                    shard, build_seconds=build_seconds, empty=exc
-                )))
-            except Exception as exc:  # classified by merge_fragments
-                outcomes.append(("error", exc))
-        return outcomes
-
-    def _view(
-        self, union: QueryGraph, union_outputs: List[str], outputs: Tuple[str, ...]
-    ) -> QueryGraph:
-        """The ``outputs`` answer-set view of a union graph, kept per
-        live union so a batch served again from the query cache reuses
-        its views — and with them the compile cache."""
-        if set(outputs) == set(union_outputs):
-            return union
-        with self._views_lock:
-            views = self._views.setdefault(union, {})
-            cached = views.get(outputs)
-        if cached is not None:
-            return cached
-        # the same filter (and the same empty-answer error) as direct
-        # execution, so batching and execute() fail identically
-        answers = select_answers(union.graph, union.targets, outputs)
-        derived = QueryGraph(union.graph, union.source, answers)
-        with self._views_lock:
-            return views.setdefault(outputs, derived)
 
     # -------------------------------------------------------------- #
     # stats and lifecycle (aggregated over the children)

@@ -263,7 +263,7 @@ class BatchedEntityGraphBuilder(EntityGraphBuilder):
     # storage-fetch hooks
     #
     # Every storage probe of a build goes through one of these three
-    # methods (plus the seed probe in ``ExploratoryQuery.execute_with``),
+    # methods (plus the seed probe in ``ExploratoryQuery.expand_with``),
     # so the incremental layer (repro.integration.incremental) can
     # record a cold build's probe results and later replay the same
     # algorithm serving unchanged keys from the recording — yielding a

@@ -343,10 +343,11 @@ class ReplayBuilder(BatchedEntityGraphBuilder):
 
 
 def record_build(query, mediator: Mediator):
-    """Cold-build ``query`` while recording every probe.
+    """Cold-expand ``query`` while recording every probe.
 
-    Returns ``(query_graph, build_stats, probe_cache)`` — the graph and
-    stats are exactly what ``query.execute(mediator)`` would produce.
+    Returns ``(graph, query_node, build_stats, probe_cache)`` — the
+    first three are exactly what ``query.expand(mediator)`` would
+    produce.
     """
     builder = RecordingBuilder(mediator)
     cache = builder.cache
@@ -360,8 +361,7 @@ def record_build(query, mediator: Mediator):
             probes.results[value] = rows
         return rows
 
-    qg, stats = query.execute_with(mediator, builder, find_records=find_records)
-    return qg, stats, cache
+    return (*query.expand_with(mediator, builder, find_records=find_records), cache)
 
 
 def repair_build(
@@ -370,18 +370,18 @@ def repair_build(
     cache: ProbeCache,
     changes: Dict[Table, ChangeSet],
 ):
-    """Re-build ``query``'s graph against current storage, touching only
-    the dirty region.
+    """Re-expand ``query`` against current storage, touching only the
+    dirty region.
 
-    Returns ``(query_graph, build_stats, fresh_cache, dirty_nodes)``:
-    the graph/stats are bit-identical to a cold rebuild, ``fresh_cache``
+    Returns ``(graph, query_node, build_stats, fresh_cache, dirty_nodes)``:
+    the expansion is bit-identical to a cold rebuild, ``fresh_cache``
     is the recording for the repaired entry, and ``dirty_nodes`` is a
     superset of the nodes whose compiled out-segments must be re-merged
     (everything else can be patched over from the old CSR arrays).
 
     Callers must not use this when any relevant change set has
     ``full=True`` (the delta is unknown) — rebuild cold instead. Raises
-    whatever a cold rebuild would raise (``EmptyAnswerError`` included).
+    whatever a cold expansion would raise (``EmptyAnswerError`` included).
     """
     builder = ReplayBuilder(mediator, cache, changes)
     fresh = builder.fresh
@@ -404,12 +404,12 @@ def repair_build(
             fp.results[value] = rows
         return rows
 
-    qg, stats = query.execute_with(mediator, builder, find_records=find_records)
+    graph, source, stats = query.expand_with(mediator, builder, find_records=find_records)
     dirty_nodes = set(builder.dirty_nodes)
     if seed_probe_dirty or any(
         entity_set == query.entity_set for entity_set, _ in dirty_nodes
     ):
         # the seed set (or a seed's danglingness) may have changed, so
         # the query node's seed-edge segment must be re-merged
-        dirty_nodes.add(qg.source)
-    return qg, stats, fresh, dirty_nodes
+        dirty_nodes.add(source)
+    return graph, source, stats, fresh, dirty_nodes

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Hashable, Iterable, List, Tuple
 
-from repro.core.graph import QueryGraph
+from repro.core.graph import ProbabilisticEntityGraph, QueryGraph
 from repro.errors import EmptyAnswerError, QueryError
 from repro.integration.builder import (
     BatchedEntityGraphBuilder,
@@ -66,8 +66,8 @@ def select_answers(
 ) -> List:
     """The answer nodes among ``candidates``: those whose entity set is
     in ``outputs``. Raising here (not returning an empty answer set)
-    keeps direct execution and the session's shared-traversal batching
-    failing identically."""
+    keeps direct execution and the engine's answer views of a shared
+    expansion failing identically."""
     wanted = frozenset(outputs)
     answers = [
         node for node in candidates if graph.data(node).entity_set in wanted
@@ -122,29 +122,41 @@ class ExploratoryQuery:
 
     @property
     def signature(self) -> Tuple[str, str, Hashable, FrozenSet[str]]:
-        """Canonical, hashable identity of this query — what the engine's
-        query-result cache keys on (together with the mediator epoch)."""
+        """Canonical, hashable identity of this query. The engine's query
+        cache keys on the expansion's part of it alone (entity set,
+        attribute and value), so output sets share one build."""
         return (self.entity_set, self.attribute, self.value, self.outputs)
 
     def execute(
         self, mediator: Mediator, builder: str = "batched"
     ) -> Tuple[QueryGraph, BuildStats]:
         """Run the query, returning the query graph and build statistics."""
+        graph, source, stats = self.expand(mediator, builder)
+        answers = select_answers(graph, graph.nodes(), self.outputs)
+        return QueryGraph(graph, source, answers), stats
+
+    def expand(
+        self, mediator: Mediator, builder: str = "batched"
+    ) -> Tuple[ProbabilisticEntityGraph, Hashable, BuildStats]:
+        """The query's expansion before answer selection: the entity
+        graph, its query node and the build statistics. The predicate
+        alone decides it; ``outputs`` only pick answers among its
+        records (see :func:`select_answers`)."""
         try:
             builder_cls = BUILDERS[builder]
         except KeyError:
             raise QueryError(
                 f"unknown builder {builder!r}; choose from {sorted(BUILDERS)}"
             ) from None
-        return self.execute_with(mediator, builder_cls(mediator))
+        return self.expand_with(mediator, builder_cls(mediator))
 
-    def execute_with(
+    def expand_with(
         self,
         mediator: Mediator,
         graph_builder,
         find_records=None,
-    ) -> Tuple[QueryGraph, BuildStats]:
-        """Run the query through an already-constructed graph builder.
+    ) -> Tuple[ProbabilisticEntityGraph, Hashable, BuildStats]:
+        """:meth:`expand` through an already-constructed graph builder.
 
         ``find_records`` optionally replaces the seed probe
         (``mediator.find_records``) — together with the builder's fetch
@@ -180,8 +192,4 @@ class ExploratoryQuery:
             )
 
         graph_builder.expand_from(seed_ids)
-
-        answers = select_answers(
-            graph_builder.graph, graph_builder.graph.nodes(), self.outputs
-        )
-        return QueryGraph(graph_builder.graph, query_node, answers), graph_builder.stats
+        return graph_builder.graph, query_node, graph_builder.stats

@@ -26,16 +26,16 @@ def workload():
     generated.close()
 
 
-def _specs(n):
-    # distinct roots -> distinct traversal groups, so the batch
-    # actually exercises the pool (a single group runs serially)
+def _specs(n, method="in_edge"):
+    # distinct roots -> distinct traversals, so the batch actually
+    # exercises the pool (one traversal runs serially)
     return [
         QuerySpec(
             entity_set="E0",
             attribute="id",
             value=f"E0:{i}",
             outputs=("E1", "E2"),
-            method="in_edge",
+            method=method,
         )
         for i in range(n)
     ]
@@ -83,8 +83,9 @@ class TestPersistentPool:
             results = session.execute_many(_specs(4), max_workers=2)
             assert len(results) == 4
             assert session._pool is None  # non-default width: transient
-            # the default width lands on the persistent pool
-            session.execute_many(_specs(4), max_workers=4)
+            # the default width lands on the persistent pool (new specs:
+            # settled answers would serve the same ones without a pool)
+            session.execute_many(_specs(4, method="path_count"), max_workers=4)
             assert session._pool is not None
 
     def test_closed_session_rejects_batches(self, workload):

@@ -6,7 +6,7 @@ its answer, seeded or not. The kernel is held until every follower has
 joined, so the overlap is a controlled state. A failed flight hands
 its error to every waiter and is evicted, so the next request retries;
 closing the session while a leader waits at the gate fails that
-leader and its followers.
+leader and its followers at once, before any slot is given back.
 
 Stale join: a request that starts after a write committed must not
 join a flight that read storage before the write. The leader is held
@@ -579,6 +579,46 @@ class TestCloseWhileQueued:
             held.release.set()
             session.close()
         assert dict(outcomes.pop("running").scores)
+        errors = list(outcomes.values())
+        assert len(errors) == 3 and all(error is errors[0] for error in errors)
+        assert isinstance(errors[0], RankingError) and "closed" in str(errors[0])
+        assert gate.in_flight == 0 and gate.queued == 0
+
+    def test_close_fails_the_queued_before_the_slot_is_given_back(self, layered):
+        """A leader queued behind the only slot, and its two followers,
+        fail as soon as the session closes, while the slot is still
+        held; the gate then ends empty."""
+        spec = layered.spec(method="path_count")
+        session = _served(layered, dict(max_concurrency=1, max_queue_depth=4))
+        gate = session.admission
+        outcomes = {}
+
+        def client(name):
+            try:
+                outcomes[name] = session.execute(spec)
+            except RankingError as exc:
+                outcomes[name] = exc
+
+        herd = [
+            threading.Thread(target=client, args=(name,), daemon=True)
+            for name in ("leader", "follower-1", "follower-2")
+        ]
+        gate.acquire()  # the only slot, held until the herd has failed
+        try:
+            before = _coalesced(session)
+            herd[0].start()
+            assert _wait_for(lambda: gate.queued == 1)
+            for thread in herd[1:]:
+                thread.start()
+            assert _wait_for(lambda: _coalesced(session) - before == 2)
+            session.close()
+            for thread in herd:
+                thread.join(5)
+                assert not thread.is_alive(), "close() left a request queued"
+            assert gate.in_flight == 1 and gate.queued == 0
+        finally:
+            gate.release()
+            session.close()
         errors = list(outcomes.values())
         assert len(errors) == 3 and all(error is errors[0] for error in errors)
         assert isinstance(errors[0], RankingError) and "closed" in str(errors[0])

@@ -315,14 +315,12 @@ class TestQueryExecution:
         assert engine.stats.graph_hits == 0
         assert engine.stats.queries_executed == 2
 
-    def test_graph_cache_lru_bound(self, scenario3_small):
-        case = scenario3_small[0].case
-        engine = RankingEngine(mediator=case.mediator, max_cached_graphs=1)
-        protein = case.spec.protein
-        q1 = ExploratoryQuery("EntrezProtein", "name", protein, outputs=("GOTerm",))
-        q2 = ExploratoryQuery(
-            "EntrezProtein", "name", protein, outputs=("GOTerm", "EntrezGene")
-        )
+    def test_graph_cache_lru_bound(self):
+        # two traversals (output sets alone would share one entry)
+        workload = mediated_layers(layers=3, width=10, rng=4)
+        engine = RankingEngine(mediator=workload.mediator, max_cached_graphs=1)
+        q1 = ExploratoryQuery("E0", "id", "E0:0", outputs=("E2",))
+        q2 = ExploratoryQuery("E0", "id", "E0:1", outputs=("E2",))
         engine.execute(q1)
         engine.execute(q2)  # evicts q1
         engine.execute(q1)

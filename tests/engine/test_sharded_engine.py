@@ -362,8 +362,6 @@ class TestStatsAndSession:
         assert engine.closed
         with pytest.raises(RankingError, match="closed"):
             engine.gather(spec)
-        with pytest.raises(RankingError, match="closed"):
-            engine.gather_group([spec, workload.spec(method="path_count")])
         assert engine._pool is None
         assert not [
             thread for thread in set(threading.enumerate()) - before

@@ -16,12 +16,13 @@ import time
 import pytest
 
 from repro.engine import RankingEngine
-from repro.errors import QueryError
+from repro.errors import EmptyAnswerError, QueryError
+from repro.integration.query import ExploratoryQuery
 from repro.workloads import mediated_layers, run_threaded_clients
 
 
 class _GatedQuery:
-    """Wraps a real ExploratoryQuery; ``execute`` signals ``started``,
+    """Wraps a real ExploratoryQuery; ``expand`` signals ``started``,
     then blocks until ``release`` — so the test controls exactly how
     long the traversal stays in flight."""
 
@@ -33,18 +34,18 @@ class _GatedQuery:
         self.calls = 0
         self._lock = threading.Lock()
 
-    @property
-    def signature(self):
-        return self.inner.signature
+    def __getattr__(self, name):
+        # the traversal key and output sets are the wrapped query's
+        return getattr(self.inner, name)
 
-    def execute(self, mediator, builder="batched"):
+    def expand(self, mediator, builder="batched"):
         with self._lock:
             self.calls += 1
         self.started.set()
         assert self.release.wait(10), "test never released the traversal"
         if self.fail is not None:
             raise self.fail
-        return self.inner.execute(mediator, builder=builder)
+        return self.inner.expand(mediator, builder=builder)
 
 
 def _await_counter(read, target, timeout=10.0):
@@ -124,16 +125,54 @@ class TestEngineSingleFlight:
         assert engine.stats.graph_misses == 2
 
 
+    def test_a_leader_without_answers_does_not_fail_its_follower(self):
+        """Output sets only pick answers among the records a traversal
+        reaches: a follower that asks for other output sets joins the
+        leader's traversal, and each selects its own answers, so the
+        leader's empty-answer error stays the leader's."""
+        workload = mediated_layers(layers=3, width=12, fan_out=3, rng=5)
+        engine = RankingEngine(mediator=workload.mediator, incremental=False)
+        base = workload.query
+        leader_query = _GatedQuery(
+            ExploratoryQuery(base.entity_set, base.attribute, base.value, ["E9"])
+        )
+        follower_query = ExploratoryQuery(
+            base.entity_set, base.attribute, base.value, ["E2"]
+        )
+        outcomes = {}
+
+        def run(name, query):
+            try:
+                outcomes[name] = engine.execute(query)
+            except EmptyAnswerError as exc:
+                outcomes[name] = exc
+
+        leader = threading.Thread(target=run, args=("leader", leader_query), daemon=True)
+        follower = threading.Thread(target=run, args=("follower", follower_query), daemon=True)
+        leader.start()
+        assert leader_query.started.wait(10)
+        follower.start()
+        _await_counter(lambda: engine.stats.coalesced_queries, 1)
+        leader_query.release.set()
+        for thread in (leader, follower):
+            thread.join(10)
+            assert not thread.is_alive()
+
+        assert engine.stats.graph_misses == 1 and leader_query.calls == 1
+        assert isinstance(outcomes["leader"], EmptyAnswerError)
+        assert outcomes["leader"].kind == "no-answers"
+        expected, _ = follower_query.execute(workload.mediator)
+        assert outcomes["follower"].targets == expected.targets
+
+
 class TestSessionThunderingHerd:
     def test_concurrent_identical_cold_specs_traverse_once(self, monkeypatch):
         """The satellite regression at the session surface: N threads,
         one identical cold spec each, exactly one traversal."""
-        from repro.integration.query import ExploratoryQuery
-
         workload = mediated_layers(layers=3, width=16, fan_out=3, rng=11)
         calls = []
         calls_lock = threading.Lock()
-        real = ExploratoryQuery.execute_with
+        real = ExploratoryQuery.expand_with
 
         def counted(self, mediator, builder, **kwargs):
             with calls_lock:
@@ -143,8 +182,8 @@ class TestSessionThunderingHerd:
             return real(self, mediator, builder, **kwargs)
 
         # both cold paths (plain and probe-recording) funnel through
-        # execute_with, so this counts traversals exactly
-        monkeypatch.setattr(ExploratoryQuery, "execute_with", counted)
+        # expand_with, so this counts traversals exactly
+        monkeypatch.setattr(ExploratoryQuery, "expand_with", counted)
 
         n = 12
         with workload.open_session() as session:

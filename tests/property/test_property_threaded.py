@@ -1,12 +1,16 @@
 """Threaded clients get what a caches-off session answers.
 
-Concurrent ``Session.execute`` callers share one single-flight and the
-settled answers: they change *when* work runs and who runs it, never
-*what* comes back. Hypothesis draws spec lists (duplicates included,
-so flights are joined and settled answers served); several threads,
-released together, each send the whole list in a different order, and
-every answer must be bit-identical to a caches-off reference session's,
-error for error. Runs in single mode and on two thread shards.
+Concurrent ``Session.execute`` and ``Session.execute_many`` callers
+share one single-flight and the settled answers, and the shard engines
+share one build among specs that differ only in output sets: all that
+changes *when* work runs and who runs it, never *what* comes back.
+Hypothesis draws spec lists (duplicates included, so flights are
+joined and settled answers served) and adds the first spec's siblings
+in the other output sets; several threads, released together, each
+send the whole list in a different order, either spec by spec or in
+``execute_many`` batches, and every answer must be bit-identical to a
+caches-off reference session's, error for error. Runs in single mode
+and on two thread shards.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.workloads import client_streams, mediated_layers
 
 _WIDTH = 12
 _CLIENTS = 4
+_OUTPUTS = (("E1",), ("E2",), ("E1", "E2"))
 
 _specs = st.builds(
     QuerySpec,
@@ -32,7 +37,7 @@ _specs = st.builds(
     # a few roots beyond the generated range: the empty-answer error
     # path must be equivalent too
     value=st.integers(min_value=0, max_value=_WIDTH + 2).map(lambda i: f"E0:{i}"),
-    outputs=st.sampled_from((("E1",), ("E2",), ("E1", "E2"))),
+    outputs=st.sampled_from(_OUTPUTS),
     method=st.sampled_from(
         ("in_edge", "path_count", "propagation", "diffusion", "reliability")
     ),
@@ -62,17 +67,36 @@ def _outcome(session, spec):
         return exc
 
 
+def _outcomes(session, stream, batch):
+    """``stream`` answered spec by spec (``batch`` 0) or in
+    ``execute_many`` batches of ``batch`` specs."""
+    if not batch:
+        return [_outcome(session, spec) for spec in stream]
+    outcomes = []
+    for start in range(0, len(stream), batch):
+        outcomes += session.execute_many(stream[start:start + batch], return_errors=True)
+    return outcomes
+
+
 @settings(deadline=None)
-@given(specs=st.lists(_specs, min_size=1, max_size=6))
-def test_threaded_answers_bit_identical_to_caches_off(sessions, specs):
+@given(
+    specs=st.lists(_specs, min_size=1, max_size=6),
+    batches=st.lists(st.integers(0, 3), min_size=_CLIENTS, max_size=_CLIENTS),
+)
+def test_threaded_answers_bit_identical_to_caches_off(sessions, specs, batches):
     served, reference = sessions
+    specs = specs + [
+        specs[0].replace(outputs=outputs)
+        for outputs in _OUTPUTS
+        if outputs != specs[0].outputs
+    ]
     streams = client_streams(specs, clients=_CLIENTS, requests_per_client=len(specs))
     answers = [None] * _CLIENTS
     barrier = threading.Barrier(_CLIENTS)
 
     def client(index):
         barrier.wait()
-        answers[index] = [_outcome(served, spec) for spec in streams[index]]
+        answers[index] = _outcomes(served, streams[index], batches[index])
 
     threads = [
         threading.Thread(target=client, args=(i,), daemon=True) for i in range(_CLIENTS)

@@ -126,7 +126,6 @@ class TestFleetLifecycle:
         assert engine.closed
         for call in (
             lambda: engine.gather(spec),
-            lambda: engine.gather_group([spec]),
             lambda: engine.repair(),
         ):
             with pytest.raises(RankingError, match="closed"):
