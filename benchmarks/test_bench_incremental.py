@@ -9,8 +9,8 @@ while a cold rebuild must re-scan the unindexed link tables end to end.
 
 Measured here:
 
-* the per-refresh serving latency of the incremental engine (repair
-  path) and of an ``incremental=False`` engine (cold re-materialise);
+* the per-refresh serving latency of a caching engine (repair path)
+  and of a ``cache_graphs=False`` engine (cold re-materialise);
 * the headline ratio — incremental refresh must be >= 3x faster than
   the cold rebuild (typically far more; the floor absorbs CI noise);
 * cache-hit-flatness for *untouched* queries: mutations to a bound
@@ -42,9 +42,9 @@ _STREAM_SHAPE = dict(
 _REFRESH = 10
 
 
-def _warm_workload(incremental=True):
+def _warm_workload(cache_graphs=True):
     workload = mediated_layers(**_STREAM_SHAPE)
-    engine = RankingEngine(mediator=workload.mediator, incremental=incremental)
+    engine = RankingEngine(mediator=workload.mediator, cache_graphs=cache_graphs)
     qg = engine.execute(workload.query)  # cold baseline, cached
     engine.compile(qg)  # so refreshes exercise the CSR patch too
     return workload, engine
@@ -53,7 +53,7 @@ def _warm_workload(incremental=True):
 @pytest.mark.benchmark(group="engine-incremental-refresh")
 class TestStreamingRefresh:
     def test_incremental_refresh(self, benchmark):
-        workload, engine = _warm_workload(incremental=True)
+        workload, engine = _warm_workload()
         state = {"tick": 0}
 
         def refresh():
@@ -73,7 +73,7 @@ class TestStreamingRefresh:
         workload.close()
 
     def test_cold_refresh(self, benchmark):
-        workload, engine = _warm_workload(incremental=False)
+        workload, engine = _warm_workload(cache_graphs=False)
         state = {"tick": 0}
 
         def refresh():
@@ -89,7 +89,7 @@ class TestStreamingRefresh:
         )
         stats = engine.stats_snapshot()
         assert stats.graph_repairs == 0
-        assert stats.graph_misses == state["tick"] + 1
+        assert stats.queries_executed == state["tick"] + 1  # every one cold
         workload.close()
 
     def test_incremental_beats_cold_3x(self, request):
@@ -97,8 +97,8 @@ class TestStreamingRefresh:
         if request.config.getoption("benchmark_disable", False):
             pytest.skip("timing comparison skipped under --benchmark-disable")
 
-        def refresh_seconds(incremental, rounds=3):
-            workload, engine = _warm_workload(incremental=incremental)
+        def refresh_seconds(repair, rounds=3):
+            workload, engine = _warm_workload(cache_graphs=repair)
             best = float("inf")
             for tick in range(1, rounds + 1):
                 workload.refresh_entity_weights(count=_REFRESH, rng=100 + tick)
@@ -106,15 +106,15 @@ class TestStreamingRefresh:
                 engine.execute(workload.query)
                 best = min(best, time.perf_counter() - started)
             stats = engine.stats_snapshot()
-            if incremental:
+            if repair:
                 assert stats.graph_repairs == rounds
             else:
-                assert stats.graph_misses == rounds + 1
+                assert stats.queries_executed == rounds + 1
             workload.close()
             return best
 
-        cold = refresh_seconds(incremental=False)
-        incremental = refresh_seconds(incremental=True)
+        cold = refresh_seconds(repair=False)
+        incremental = refresh_seconds(repair=True)
         assert incremental * 3 < cold, (
             f"incremental refresh ({incremental * 1e3:.1f} ms) must be "
             f">=3x faster than a cold rebuild ({cold * 1e3:.1f} ms)"

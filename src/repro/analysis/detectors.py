@@ -550,25 +550,13 @@ def check_confidence_hotspots(context: AnalysisContext) -> Iterator[Detection]:
     name="staleness-config",
     severity=Severity.WARNING,
     description=(
-        "incremental invalidation is configured over tables whose "
-        "change tracking cannot support it"
+        "cached graphs are served over tables whose change tracking "
+        "cannot support incremental repair"
     ),
 )
 def check_staleness_config(context: AnalysisContext) -> Iterator[Detection]:
-    if not context.config.incremental:
-        return
     if not context.config.cache_graphs:
-        yield Detection(
-            code="REPRO108",
-            severity=Severity.NOTE,
-            location="config.cache_graphs",
-            message=(
-                "incremental=True has no effect with cache_graphs=False: "
-                "there are no cached graphs to repair, every query "
-                "rebuilds cold"
-            ),
-            fix="enable cache_graphs or drop incremental",
-        )
+        return  # no cached graphs, nothing to repair
     for source_name, table_name, table in context.bound_tables():
         base = getattr(table, "base", table)
         where = f"sources.{source_name}.tables.{table_name}"
@@ -580,9 +568,8 @@ def check_staleness_config(context: AnalysisContext) -> Iterator[Detection]:
                 location=where,
                 message=(
                     f"table {table_name!r} (source {source_name!r}) "
-                    f"cannot report row-level changes; with "
-                    f"incremental=True every mutation of it degrades "
-                    f"cached graphs to a cold rebuild"
+                    f"cannot report row-level changes, so every mutation "
+                    f"of it degrades cached graphs to a cold rebuild"
                 ),
                 fix="serve the table through the repro.storage facade",
             )

@@ -2,16 +2,16 @@
 
 These replace the scattered keyword arguments of the lower layers
 (``rank(..., strategy=..., trials=..., rng=...)``,
-``RankingEngine(backend=..., builder=..., max_cached_scores=...)``) with
+``RankingEngine(backend=..., max_cached_scores=...)``) with
 two small frozen dataclasses that validate eagerly and serialise to
 plain dicts:
 
 * :class:`RankingOptions` — per-query scoring knobs. Only the fields
   relevant to the query's ranking method are forwarded to the scoring
   function, so one options object can be shared across methods.
-* :class:`EngineConfig` — per-session serving knobs (backend, builder,
-  cache sizes, ``execute_many`` thread pool width). The defaults are the
-  serving defaults: compiled CSR kernels, set-at-a-time builder, all
+* :class:`EngineConfig` — per-session serving knobs (backend, cache
+  sizes, ``execute_many`` thread pool width, shards, admission). The
+  defaults are the serving defaults: compiled CSR kernels and all
   caches on.
 """
 
@@ -30,9 +30,7 @@ _T = TypeVar("_T")
 
 from repro.core.ranker import BACKENDS, resolve_method
 from repro.core.reliability import RELIABILITY_STRATEGIES, STOCHASTIC_STRATEGIES
-from repro.engine.sharded import PARTITIONERS
 from repro.errors import RankingError
-from repro.integration.query import BUILDERS
 from repro.storage.backends import STORAGE_BACKENDS
 
 __all__ = ["EngineConfig", "RankingOptions"]
@@ -178,30 +176,29 @@ class EngineConfig:
     """How a :class:`~repro.api.Session` executes, caches and stores.
 
     The defaults are the serving defaults — compiled kernels,
-    set-at-a-time builder, query/compile/score caches on, and a small
-    thread pool for ``execute_many``.
+    query/compile/score caches on, and a small thread pool for
+    ``execute_many``.
 
     Example::
 
         >>> config = EngineConfig(storage="sqlite")
-        >>> config.backend, config.builder, config.storage
-        ('compiled', 'batched', 'sqlite')
+        >>> config.backend, config.cache_graphs, config.storage
+        ('compiled', True, 'sqlite')
     """
 
     backend: str = "compiled"
-    builder: str = "batched"
+    #: the query cache: expansions keyed by traversal and kept current
+    #: across writes — cached graphs survive changes to tables they
+    #: never read, and bounded changes to tables they did read are
+    #: repaired by replaying only the dirty BFS region (see
+    #: ``docs/architecture.md``); ``False`` re-materialises every query
+    #: cold
     cache_graphs: bool = True
     #: bounds each shard engine's query cache and the session's settled
     #: answers (thread shards with both caches on; see Session.execute)
     max_cached_graphs: int = 256
     cache_scores: bool = True
     max_cached_scores: int = 1024
-    #: delta-aware query caching: cached graphs survive changes to
-    #: tables they never read, and bounded changes to tables they did
-    #: read are repaired by replaying only the dirty BFS region (see
-    #: ``docs/architecture.md``); ``False`` re-materialises cold on any
-    #: relevant change
-    incremental: bool = True
     #: thread-pool width for the distinct specs of a
     #: ``Session.execute_many`` batch, on every session; 0 or 1 runs them
     #: in sequence (specs sharing a traversal still share its build, and
@@ -221,12 +218,9 @@ class EngineConfig:
     #: number of scatter/gather shards; 1 (the default) runs one shard
     #: that owns every answer over the session's own mediator and
     #: engine, ``N > 1`` partitions the answer space across N child
-    #: engines (see ``docs/architecture.md``)
+    #: engines, each owning the answers a stable content hash assigns
+    #: it (see ``docs/architecture.md``)
     shards: int = 1
-    #: answer-ownership strategy for sharded sessions: ``"hash"``
-    #: (stable content hash) or ``"range"`` (balanced key ranges
-    #: computed from the partitioned sets' current keys)
-    partitioner: str = "hash"
     #: where sharded execution runs: ``"thread"`` scatters on a thread
     #: pool over in-process child engines; ``"process"`` promotes every
     #: shard to a supervised worker *process* reached over JSON-RPC
@@ -262,10 +256,6 @@ class EngineConfig:
             raise RankingError(
                 f"unknown backend {self.backend!r}; choose from {list(BACKENDS)}"
             )
-        if self.builder not in BUILDERS:
-            raise RankingError(
-                f"unknown builder {self.builder!r}; choose from {sorted(BUILDERS)}"
-            )
         if self.storage not in STORAGE_BACKENDS:
             raise RankingError(
                 f"unknown storage backend {self.storage!r}; choose from "
@@ -285,10 +275,6 @@ class EngineConfig:
                 raise RankingError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
-        if not isinstance(self.incremental, bool):
-            raise RankingError(
-                f"incremental must be a bool, got {self.incremental!r}"
-            )
         if not isinstance(self.max_workers, int) or self.max_workers < 0:
             raise RankingError(
                 f"max_workers must be a non-negative integer, got "
@@ -297,11 +283,6 @@ class EngineConfig:
         if not isinstance(self.shards, int) or self.shards < 1:
             raise RankingError(
                 f"shards must be a positive integer, got {self.shards!r}"
-            )
-        if self.partitioner not in PARTITIONERS:
-            raise RankingError(
-                f"unknown partitioner {self.partitioner!r}; choose from "
-                f"{list(PARTITIONERS)}"
             )
         if self.shard_mode not in ("thread", "process"):
             raise RankingError(
@@ -355,17 +336,15 @@ class EngineConfig:
 
         Example::
 
-            >>> EngineConfig(incremental=False).engine_options()["incremental"]
+            >>> EngineConfig(cache_graphs=False).engine_options()["cache_graphs"]
             False
         """
         return {
             "backend": self.backend,
-            "builder": self.builder,
             "cache_scores": self.cache_scores,
             "max_cached_scores": self.max_cached_scores,
             "cache_graphs": self.cache_graphs,
             "max_cached_graphs": self.max_cached_graphs,
-            "incremental": self.incremental,
         }
 
     def make_database(self, name: str = "db") -> "Database":
@@ -399,8 +378,8 @@ class EngineConfig:
 
         Example::
 
-            >>> EngineConfig().as_dict()["builder"]
-            'batched'
+            >>> EngineConfig().as_dict()["backend"]
+            'compiled'
         """
         return asdict(self)
 

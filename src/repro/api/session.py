@@ -89,7 +89,6 @@ class Explanation:
     graph_cached: bool
     #: ranked from the fingerprint-keyed score cache?
     score_cached: bool
-    builder: str
     backend: str
     #: the query graph's size; summed over the shard builds unless one
     #: shard owns every answer (replicated ancestors count per shard)
@@ -111,7 +110,6 @@ class Explanation:
             "spec": self.spec.to_dict(),
             "graph_cached": self.graph_cached,
             "score_cached": self.score_cached,
-            "builder": self.builder,
             "backend": self.backend,
             "nodes": self.nodes,
             "edges": self.edges,
@@ -124,7 +122,7 @@ class Explanation:
         }
 
     def __str__(self) -> str:
-        graph_src = "query cache" if self.graph_cached else f"{self.builder} builder"
+        graph_src = "query cache" if self.graph_cached else "a cold build"
         score_src = "score cache" if self.score_cached else f"{self.backend} backend"
         return (
             f"{self.spec.entity_set}.{self.spec.attribute}="
@@ -169,9 +167,7 @@ class Session:
                 f"router's {router.shards} shards"
             )
         if router is None and self._config.shards > 1:
-            router = ShardRouter.partition(
-                self._mediator, self._config.shards, self._config.partitioner
-            )
+            router = ShardRouter.partition(self._mediator, self._config.shards)
         self._router = router
         #: the one scatter/gather engine every execution runs through
         self._scatter: Union[ShardedEngine, "ProcessShardedEngine"]
@@ -295,7 +291,9 @@ class Session:
         through it once per flight leader, batch that leads a flight,
         or explanation; not a request served by a settled answer, nor a
         call made inside ``with session.admission:`` on the same
-        thread. Closing the session fails every queued request."""
+        thread, which leads its own flight rather than follow one
+        queued behind its slot. Closing the session fails every queued
+        request."""
         return self._admission
 
     def register(self, *sources: DataSource) -> "Session":
@@ -386,14 +384,20 @@ class Session:
         """``spec``'s settled answer as a fresh result (``None``), or its
         flight to join (``False``) or lead (``True``). A settled answer
         counts a graph and a score hit on every relevant shard; a
-        follower counts as coalesced, or as shed when its leader is."""
+        follower counts as coalesced, or as shed when its leader is. A
+        caller holding an admission slot never follows: the pending
+        leader may be queued behind that very slot, so the caller leads
+        a flight of its own, which is admitted already."""
         self._check_open()
         router, engines = self._scatter.router, self._retaining
         relevant = router.relevant_shards(spec)
         token = [router.mediators[shard].epoch for shard in relevant]
         if engines:
             token.extend(engines[shard].generation for shard in relevant)
-        found, leader = self._inflight.join(spec, token)
+        gate = self._admission
+        found, leader = self._inflight.join(
+            spec, token, follow=gate is None or not gate.held()
+        )
         if leader is None:
             for shard in relevant:
                 engines[shard].note_hit()
@@ -608,7 +612,6 @@ class Session:
             spec=spec,
             graph_cached=gathered.graph_cached,
             score_cached=gathered.score_cached,
-            builder=self._config.builder,
             backend=self._config.backend,
             nodes=gathered.nodes,
             edges=gathered.edges,
@@ -720,7 +723,6 @@ class Session:
         return (
             f"<Session {state} sources={len(self._mediator.sources)} "
             f"backend={self._config.backend!r} "
-            f"builder={self._config.builder!r} "
             f"shards={self._scatter.shards} ({self._scatter.mode})>"
         )
 

@@ -15,10 +15,8 @@ identical to the single-engine result.
 
 from repro.engine.ranking import EngineStats, RankingEngine
 from repro.engine.sharded import (
-    PARTITIONERS,
     GatherResult,
     HashPartitioner,
-    KeyRangePartitioner,
     ShardedEngine,
     ShardFragment,
     ShardRouter,
@@ -28,8 +26,6 @@ __all__ = [
     "EngineStats",
     "GatherResult",
     "HashPartitioner",
-    "KeyRangePartitioner",
-    "PARTITIONERS",
     "RankingEngine",
     "ShardFragment",
     "ShardRouter",

@@ -13,7 +13,7 @@ instead of a scoring pass.
 Three caches cooperate:
 
 * the **query cache** maps an exploratory query's traversal (entity
-  set, attribute, value and builder) to its materialised expansion plus
+  set, attribute and value) to its materialised expansion plus
   the mediator's *epoch snapshot* at execution (bounded LRU). Output
   sets only pick answers among the records reached, so queries that
   differ only in them share one build: each output set gets its own
@@ -23,13 +23,13 @@ Three caches cooperate:
   tables changed (:meth:`~repro.integration.mediator.Mediator.changes_since`)
   instead of discarding the entry on any epoch movement. Changes to
   tables the cached build never read still count as hits; changes to
-  tables it did read are replayed through the recorded probe cache
-  (:mod:`repro.integration.incremental`) to *repair* the entry — a
-  rebuild that re-probes storage only for dirty keys and patches every
-  compiled view's CSR in place, bit-identical to a cold rebuild. Source
-  registrations, confidence tuning and overflowed change logs still
-  invalidate cold. ``incremental=False`` disables recording and
-  repair (every relevant change then re-materialises cold);
+  tables it did read are replayed through the probe cache every build
+  records (:mod:`repro.integration.incremental`) to *repair* the entry
+  — a rebuild that re-probes storage only for dirty keys and patches
+  every compiled view's CSR in place, bit-identical to a cold rebuild.
+  Source registrations, confidence tuning and overflowed change logs
+  still invalidate cold. With ``cache_graphs=False`` nothing is cached
+  or repaired: every query re-materialises cold;
 * the **compile cache** maps live ``QueryGraph`` objects to their
   :class:`~repro.core.compile.CompiledGraph` (weakly keyed, so graphs
   are evicted when the caller drops them). Beside it, a weakly keyed
@@ -80,7 +80,7 @@ from repro.errors import EmptyAnswerError, RankingError
 from repro.integration.builder import BuildStats
 from repro.integration.incremental import ProbeCache, record_build, repair_build
 from repro.integration.mediator import Mediator, MediatorEpoch
-from repro.integration.query import BUILDERS, ExploratoryQuery, select_answers
+from repro.integration.query import ExploratoryQuery, select_answers
 from repro.storage.changes import ChangeSet
 from repro.storage.table import Table
 
@@ -217,18 +217,22 @@ class SingleFlight:
         self._settled: "OrderedDict[Hashable, Tuple[object, Any]]" = OrderedDict()
         self._retain = retain
 
-    def join(self, key: Hashable, token: object) -> Tuple[Any, Optional[bool]]:
+    def join(
+        self, key: Hashable, token: object, follow: bool = True
+    ) -> Tuple[Any, Optional[bool]]:
         """The pending future for ``key`` and whether the caller leads
         it (a leader must :meth:`settle` it), or the answer retained
         under ``token`` and ``None``. A flight or answer with another
-        token is not joined: the caller leads a new flight instead."""
+        token is not joined, and with ``follow`` off no pending flight
+        is: the caller leads a new flight instead, which supersedes the
+        pending one for later callers."""
         with self._lock:
             settled = self._settled.get(key)
             if settled is not None and settled[0] == token:
                 self._settled.move_to_end(key)
                 return settled[1], None
             flight = self._flights.get(key)
-            if flight is not None and flight[0] == token:
+            if follow and flight is not None and flight[0] == token:
                 return flight[1], False
             self._settled.pop(key, None)  # stale: its token moved on
             future: "Future[Any]" = Future()
@@ -284,10 +288,9 @@ class _Expansion:
     source: NodeId
     #: stats of the original materialisation
     build_stats: BuildStats
-    #: the build's recorded probes (incremental mode, batched builder):
-    #: they scope invalidation to the tables the build read and power
-    #: delta repair
-    probe_cache: Optional[ProbeCache]
+    #: the build's recorded probes: they scope invalidation to the
+    #: tables the build read and power delta repair
+    probe_cache: ProbeCache
     #: output sets -> their answer view of ``graph`` (guarded by the
     #: engine lock)
     views: Dict[FrozenSet[str], QueryGraph]
@@ -334,14 +337,11 @@ def _consumes_ir(method: str, options: Mapping[str, object]) -> bool:
 
 
 def _read_changes(
-    changes: Mapping[Table, ChangeSet], probe_cache: Optional[ProbeCache]
+    changes: Mapping[Table, ChangeSet], probe_cache: ProbeCache
 ) -> Dict[Table, ChangeSet]:
     """The changes a cached build must answer for: the non-empty change
-    sets of the tables it read (every changed table when the build
-    recorded no probe cache). Net no-op windows, such as an insert
+    sets of the tables it read. Net no-op windows, such as an insert
     coalesced away by its delete, are clean too."""
-    if probe_cache is None:
-        return {t: cs for t, cs in changes.items() if cs}
     deps = probe_cache.dep_tables()
     return {t: cs for t, cs in changes.items() if id(t) in deps and cs}
 
@@ -369,29 +369,21 @@ class RankingEngine:
         self,
         mediator: Optional[Mediator] = None,
         backend: str = "compiled",
-        builder: str = "batched",
         cache_scores: bool = True,
         max_cached_scores: int = 1024,
         cache_graphs: bool = True,
         max_cached_graphs: int = 256,
-        incremental: bool = True,
     ):
         if backend not in BACKENDS:
             raise RankingError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}"
             )
-        if builder not in BUILDERS:
-            raise RankingError(
-                f"unknown builder {builder!r}; choose from {sorted(BUILDERS)}"
-            )
         self.mediator = mediator
         self.backend = backend
-        self.builder = builder
         self.cache_scores = cache_scores
         self.max_cached_scores = max_cached_scores
         self.cache_graphs = cache_graphs
         self.max_cached_graphs = max_cached_graphs
-        self.incremental = incremental
         self.stats = EngineStats()
         #: bumped by every :meth:`invalidate`; a session's settled
         #: answers are keyed by it, so invalidating retires them too
@@ -411,7 +403,7 @@ class RankingEngine:
             weakref.WeakKeyDictionary()
         )
         self._scores: "OrderedDict[Tuple, _ScoreEntry]" = OrderedDict()
-        #: (entity set, attribute, value, builder) -> the expansion
+        #: (entity set, attribute, value) -> the expansion
         self._graphs: "OrderedDict[Tuple, _Expansion]" = OrderedDict()
         #: query-cache key -> the one pending traversal for that key,
         #: tagged with its leader's epoch snapshot; identical queries
@@ -424,9 +416,7 @@ class RankingEngine:
     # query execution
     # -------------------------------------------------------------- #
 
-    def execute(
-        self, query: ExploratoryQuery, builder: Optional[str] = None
-    ) -> QueryGraph:
+    def execute(self, query: ExploratoryQuery) -> QueryGraph:
         """Run ``query`` through the engine's mediator.
 
         Expansions are cached by the query's traversal, so queries that
@@ -448,10 +438,10 @@ class RankingEngine:
         caller selects its own answers, so an output set without any
         raises its ``EmptyAnswerError`` to that caller alone.
         """
-        return self.execute_with_stats(query, builder=builder)[0]
+        return self.execute_with_stats(query)[0]
 
     def execute_with_stats(
-        self, query: ExploratoryQuery, builder: Optional[str] = None
+        self, query: ExploratoryQuery
     ) -> Tuple[QueryGraph, BuildStats, bool]:
         """Like :meth:`execute`, but also report *how* the graph came to
         be: its :class:`~repro.integration.builder.BuildStats` (from the
@@ -462,17 +452,16 @@ class RankingEngine:
                 "this engine has no mediator; construct it with one to "
                 "execute exploratory queries"
             )
-        chosen_builder = builder or self.builder
         if not self.cache_graphs:
-            qg, build_stats = query.execute(self.mediator, builder=chosen_builder)
+            qg, build_stats = query.execute(self.mediator)
             with self._lock:
                 self.stats.queries_executed += 1
             return qg, build_stats, False
-        entry, graph_cached = self._expansion(query, self.mediator, chosen_builder)
+        entry, graph_cached = self._expansion(query, self.mediator)
         return self._view(entry, query.outputs), entry.build_stats, graph_cached
 
     def _expansion(
-        self, query: ExploratoryQuery, mediator: Mediator, builder: str
+        self, query: ExploratoryQuery, mediator: Mediator
     ) -> Tuple[_Expansion, bool]:
         """``query``'s traversal expanded over ``mediator`` and current,
         and whether the query cache (or an identical traversal in
@@ -481,7 +470,7 @@ class RankingEngine:
         # mid-build is then still newer than the stored snapshot, so the
         # next probe re-examines it instead of missing it
         snapshot = mediator.epoch_snapshot()
-        key = (query.entity_set, query.attribute, query.value, builder)
+        key = (query.entity_set, query.attribute, query.value)
         with self._lock:
             cached = self._graphs.get(key)
         # the entry must come from *this* mediator (the attribute is
@@ -499,9 +488,7 @@ class RankingEngine:
                 with self._lock:
                     self._graph_hit(key, cached, snapshot)
                 return cached, True
-            if cached.probe_cache is not None and not any(
-                cs.full for cs in relevant.values()
-            ):
+            if not any(cs.full for cs in relevant.values()):
                 repaired = self._repair(key, cached, query, mediator, snapshot, relevant)
                 if repaired is not None:
                     return repaired, False
@@ -522,11 +509,7 @@ class RankingEngine:
         def build() -> _Expansion:
             # cached before the flight is evicted: a request arriving
             # meanwhile either finds the cache entry or joins the flight
-            if self.incremental and builder == "batched":
-                expansion = record_build(query, mediator)
-            else:
-                expansion = (*query.expand(mediator, builder=builder), None)
-            entry = _Expansion(mediator, snapshot, *expansion, {})
+            entry = _Expansion(mediator, snapshot, *record_build(query, mediator), {})
             with self._lock:
                 self.stats.queries_executed += 1
                 self._store(key, entry)
@@ -611,13 +594,9 @@ class RankingEngine:
                 self._compiled.setdefault(view, compiled)
         return entry
 
-    def execute_many(
-        self,
-        queries: Iterable[ExploratoryQuery],
-        builder: Optional[str] = None,
-    ) -> List[QueryGraph]:
+    def execute_many(self, queries: Iterable[ExploratoryQuery]) -> List[QueryGraph]:
         """Execute a batch of exploratory queries (cache-aware)."""
-        return [self.execute(query, builder=builder) for query in queries]
+        return [self.execute(query) for query in queries]
 
     def _resolve_graph(self, target: Rankable) -> QueryGraph:
         if isinstance(target, QueryGraph):

@@ -50,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -74,7 +73,13 @@ if TYPE_CHECKING:
 
 from repro.core.graph import QueryGraph
 from repro.engine.ranking import EngineStats, RankingEngine
-from repro.errors import EmptyAnswerError, QueryError, RankingError, SchemaError
+from repro.errors import (
+    EmptyAnswerError,
+    QueryError,
+    RankingError,
+    SchemaError,
+    ShardError,
+)
 from repro.integration.builder import BuildStats, NodePayload
 from repro.integration.mediator import Mediator
 from repro.integration.partition import (
@@ -88,8 +93,6 @@ from repro.integration.query import ExploratoryQuery
 __all__ = [
     "GatherResult",
     "HashPartitioner",
-    "KeyRangePartitioner",
-    "PARTITIONERS",
     "ShardFragment",
     "ShardRouter",
     "ShardScatter",
@@ -99,9 +102,6 @@ __all__ = [
 ]
 
 NodeId = Hashable
-
-#: partitioner strategies selectable by name (EngineConfig.partitioner)
-PARTITIONERS: Tuple[str, ...] = ("hash", "range")
 
 #: emptiness kinds ordered by execution progress; when every shard is
 #: empty, the error that got furthest is the one the single engine
@@ -168,64 +168,6 @@ class HashPartitioner:
         return f"HashPartitioner(shards={self.shards})"
 
 
-class KeyRangePartitioner:
-    """Key-range partitioning: contiguous key runs per shard.
-
-    ``boundaries`` maps an entity set to its sorted cut points (at most
-    ``shards - 1``); a key is owned by the number of cut points not
-    exceeding it. Entity sets without boundaries fall back to hash
-    ownership, so the partitioner is total over every possible answer.
-    """
-
-    def __init__(self, shards: int, boundaries: Mapping[str, Sequence[Any]]):
-        if not isinstance(shards, int) or shards < 1:
-            raise QueryError(f"shard count must be a positive integer, got {shards!r}")
-        self.shards = shards
-        self._boundaries: Dict[str, List[Any]] = {}
-        for entity_set, cuts in boundaries.items():
-            cuts = list(cuts)
-            if len(cuts) > shards - 1:
-                raise QueryError(
-                    f"entity set {entity_set!r}: {len(cuts)} cut points "
-                    f"cannot split into {shards} shards"
-                )
-            if any(cuts[i] > cuts[i + 1] for i in range(len(cuts) - 1)):
-                raise QueryError(
-                    f"entity set {entity_set!r}: cut points must be sorted"
-                )
-            self._boundaries[entity_set] = cuts
-        self._fallback = HashPartitioner(shards)
-
-    @classmethod
-    def balanced(
-        cls, shards: int, keys_by_set: Mapping[str, Sequence[Any]]
-    ) -> "KeyRangePartitioner":
-        """Quantile cut points from each set's current keys (an empty
-        key list yields no cuts: every key of that set on shard 0)."""
-        boundaries: Dict[str, List[Any]] = {}
-        for entity_set, keys in keys_by_set.items():
-            ordered = sorted(keys)
-            if not ordered:
-                boundaries[entity_set] = []
-                continue
-            boundaries[entity_set] = sorted(
-                {ordered[(len(ordered) * s) // shards] for s in range(1, shards)}
-            )
-        return cls(shards, boundaries)
-
-    def owner(self, entity_set: str, key: Hashable) -> int:
-        cuts = self._boundaries.get(entity_set)
-        if cuts is None:
-            return self._fallback.owner(entity_set, key)
-        return bisect_right(cuts, key)
-
-    def __repr__(self) -> str:
-        return (
-            f"KeyRangePartitioner(shards={self.shards}, "
-            f"sets={sorted(self._boundaries)})"
-        )
-
-
 class ShardRouter:
     """Owns the shard layout: the per-shard mediators, the partitioner
     (the single ownership oracle for answers), and which entity sets
@@ -283,16 +225,12 @@ class ShardRouter:
         cls,
         mediator: Mediator,
         shards: int,
-        partitioner: object = "hash",
         partition_sets: Optional[Sequence[str]] = None,
     ) -> "ShardRouter":
         """Derive a router from one existing mediator by building
         per-shard partition views (see
-        :func:`repro.integration.partition.partition_mediator`).
-
-        ``partitioner`` is an instance, or a name from
-        :data:`PARTITIONERS` — ``"range"`` computes balanced cut points
-        from the partitioned sets' current keys.
+        :func:`repro.integration.partition.partition_mediator`), whose
+        answers a :class:`HashPartitioner` assigns to the shards.
         """
         if shards > 1 and not any(
             source.entities for source in mediator.sources
@@ -309,22 +247,7 @@ class ShardRouter:
         )
         if shards > 1 and not chosen:
             raise SchemaError(no_sink_sets_message())
-        if isinstance(partitioner, str):
-            if partitioner not in PARTITIONERS:
-                raise QueryError(
-                    f"unknown partitioner {partitioner!r}; choose from "
-                    f"{list(PARTITIONERS)}"
-                )
-            if partitioner == "hash":
-                partitioner = HashPartitioner(shards)
-            else:
-                keys_by_set = {}
-                for entity_set in chosen:
-                    plan = mediator.entity_plan(entity_set)
-                    keys_by_set[entity_set] = [
-                        row[plan.key_column] for row in plan.table.rows()
-                    ]
-                partitioner = KeyRangePartitioner.balanced(shards, keys_by_set)
+        partitioner = HashPartitioner(shards)
         mediators = partition_mediator(mediator, shards, partitioner, chosen)
         partitioned = {
             entity_set: mediator.entity_plan(entity_set).key_column
@@ -536,7 +459,8 @@ def merge_fragments(
       cure) is infrastructure trouble and wins over everything else;
     * the same error on every shard is a query-level error (bad
       options, unknown attribute, ...): re-raised as the single engine
-      would raise it; a *partial* error is wrapped, naming the shard;
+      would raise it; a *partial* error is wrapped in a
+      :class:`~repro.errors.ShardError` naming the shard;
     * empty partitions contribute nothing; only when every shard is
       empty is the error that got furthest re-raised;
     * an answer owned by two shards means the partitioner is not a
@@ -559,7 +483,7 @@ def merge_fragments(
         )
         if deterministic:
             raise first_error
-        raise QueryError(
+        raise ShardError(
             f"shard {first_shard} failed during scatter/gather: "
             f"{first_error}"
         ) from first_error

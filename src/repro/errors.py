@@ -18,6 +18,7 @@ __all__ = [
     "CycleError",
     "QueryError",
     "EmptyAnswerError",
+    "ShardError",
     "RankingError",
     "OverloadedError",
     "AnalysisError",
@@ -76,6 +77,13 @@ class EmptyAnswerError(QueryError):
         if kind not in self.KINDS:
             raise ValueError(f"unknown emptiness kind {kind!r}")
         self.kind = kind
+
+
+class ShardError(QueryError):
+    """A shard could not answer: its worker stayed unreachable despite
+    bounded restarts, or it raised an error the other relevant shards
+    did not. Infrastructure trouble, not a property of the query — the
+    HTTP layer answers it with ``502``."""
 
 
 class RankingError(ReproError):

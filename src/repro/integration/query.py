@@ -7,11 +7,14 @@ entity sets as a rankable answer set. Execution yields a
 :class:`~repro.core.graph.QueryGraph` whose source is a synthetic query
 node (``p = 1``) linked to each matching seed record with ``q = 1``.
 
-Execution runs set-at-a-time by default (``builder="batched"``, the
-frontier-batched :class:`~repro.integration.builder.BatchedEntityGraphBuilder`);
-``builder="scalar"`` selects the record-at-a-time reference
-implementation, which produces an identical graph and is kept for
-cross-checking.
+Execution runs set-at-a-time (``builder="batched"``, the
+frontier-batched :class:`~repro.integration.builder.BatchedEntityGraphBuilder`),
+which is also the one build path of the serving engine. ``builder="scalar"``
+selects the record-at-a-time :class:`~repro.integration.builder.EntityGraphBuilder`:
+a test oracle, reachable only through :meth:`ExploratoryQuery.execute`
+and :meth:`ExploratoryQuery.expand`, which produces an identical graph and
+is kept for cross-checking (the builder property suite, the Fig 5
+cross-check and the builder benchmark).
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ def select_answers(
         )
     return answers
 
-#: selectable graph-builder implementations ("reference" aliases "scalar")
+#: graph-builder implementations: the batched one, and the scalar test
+#: oracle ("reference" aliases "scalar")
 BUILDERS = {
     "batched": BatchedEntityGraphBuilder,
     "scalar": EntityGraphBuilder,

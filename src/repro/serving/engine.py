@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 from repro.core.paths import EvidencePath
 from repro.engine.ranking import EngineStats
 from repro.engine.sharded import Outcome, ShardRouter, ShardScatter
-from repro.errors import QueryError
+from repro.errors import QueryError, ShardError
 from repro.serving import rpc
 from repro.serving.source import WorkerSource
 
@@ -248,15 +248,7 @@ class WorkerHandle:
     def restart(self) -> None:
         """Replace a dead/undead worker with a fresh one (it re-runs
         the source recipe, re-attaching its shard files)."""
-        with self._lock:
-            if self._closed:
-                raise rpc.RpcTransportError(
-                    f"shard {self.shard} handle is closed"
-                )
-            self._reap()
-            self.restarts += 1
-            self._launch()
-            self.handshake()
+        self._respawn(force=True)
 
     def ensure_alive(self) -> None:
         """Respawn a worker already known to be dead (dropped
@@ -264,12 +256,17 @@ class WorkerHandle:
         exhausting *its* restart budget must not leave the shard dead
         for every later request — each request faces a live worker and
         its own full budget."""
+        self._respawn(force=False)
+
+    def _respawn(self, force: bool) -> None:
+        """Reap the current worker and boot a fresh one, unless
+        ``force`` is off and the worker is alive and connected."""
         with self._lock:
             if self._closed:
                 raise rpc.RpcTransportError(
                     f"shard {self.shard} handle is closed"
                 )
-            if self._conn is not None and self.alive:
+            if not force and self._conn is not None and self.alive:
                 return
             self._reap()
             self.restarts += 1
@@ -447,7 +444,7 @@ class ProcessShardedEngine(ShardScatter):
                 return handle.call(method, params, timeout=self.rpc_timeout)
             except rpc.RpcTransportError as exc:
                 failure = exc
-        raise QueryError(
+        raise ShardError(
             f"shard {handle.shard} failed during scatter/gather after "
             f"{self.worker_restarts} restart(s): {failure}"
         )
@@ -464,7 +461,7 @@ class ProcessShardedEngine(ShardScatter):
             return "ok", rpc.decode_fragment(shard, record)
         except rpc.RpcRemoteError as exc:
             return "error", (exc.remote if exc.remote is not None else exc)
-        except QueryError as exc:  # restarts exhausted, or a malformed record
+        except ShardError as exc:  # restarts exhausted, or a malformed record
             return "transport", exc
 
     # ------------------------------------------------------------ #

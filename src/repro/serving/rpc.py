@@ -29,7 +29,7 @@ from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 import repro.errors as _errors
 from repro.engine.ranking import EngineStats
 from repro.engine.sharded import ShardFragment
-from repro.errors import EmptyAnswerError, QueryError, ReproError
+from repro.errors import EmptyAnswerError, QueryError, ReproError, ShardError
 from repro.integration.builder import BuildStats, NodePayload
 
 __all__ = [
@@ -63,7 +63,7 @@ RPC_APPLICATION_ERROR = -32000
 _MAX_LINE = 64 * 1024 * 1024  # a malformed peer cannot OOM the reader
 
 
-class RpcTransportError(QueryError):
+class RpcTransportError(ShardError):
     """The connection to a worker broke: EOF, reset, timeout, or a line
     that is not valid JSON-RPC. The worker's protocol state is unknown
     after any of these, so the supervisor's only safe move is

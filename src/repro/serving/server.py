@@ -42,8 +42,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.api.session import Session
-from repro.errors import EmptyAnswerError, OverloadedError, QueryError, ReproError
-from repro.serving.rpc import RpcTransportError
+from repro.errors import (
+    EmptyAnswerError,
+    OverloadedError,
+    QueryError,
+    ReproError,
+    ShardError,
+)
 
 __all__ = ["ServingServer", "serve"]
 
@@ -80,14 +85,11 @@ def _status_for(exc: ReproError) -> int:
     # retryable, hence 503 (the handler adds Retry-After)
     if isinstance(exc, OverloadedError):
         return 503
-    # a broken worker transport (despite bounded restarts) is upstream
+    # a failed shard (a broken worker transport despite bounded
+    # restarts, or an error only some shards raised) is upstream
     # infrastructure trouble; everything else ReproError-shaped is a
     # deterministic property of the query
-    if isinstance(exc, RpcTransportError):
-        return 502
-    if isinstance(exc, QueryError) and "failed during scatter/gather" in str(exc):
-        return 502
-    return 400
+    return 502 if isinstance(exc, ShardError) else 400
 
 
 class _Handler(BaseHTTPRequestHandler):

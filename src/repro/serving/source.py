@@ -31,7 +31,7 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.engine.sharded import PARTITIONERS, ShardRouter
+from repro.engine.sharded import ShardRouter
 from repro.errors import QueryError
 from repro.integration.mediator import Mediator
 
@@ -46,14 +46,11 @@ class WorkerSource:
     JSON-serialisable (they ride in the worker's bootstrap spec).
     ``shards`` pins the expected shard count — a factory resolving to a
     different layout is a bootstrap error, not a silent re-partition.
-    ``partitioner`` applies only when the factory returns a bare
-    mediator that the worker partitions itself.
     """
 
     factory: str
     kwargs: Mapping[str, object] = field(default_factory=dict)
     shards: int = 1
-    partitioner: str = "hash"
 
     def __post_init__(self) -> None:
         if not isinstance(self.factory, str) or ":" not in self.factory:
@@ -66,11 +63,6 @@ class WorkerSource:
                 f"worker source shards must be a positive integer, got "
                 f"{self.shards!r}"
             )
-        if self.partitioner not in PARTITIONERS:
-            raise QueryError(
-                f"unknown partitioner {self.partitioner!r}; choose from "
-                f"{list(PARTITIONERS)}"
-            )
         object.__setattr__(self, "kwargs", dict(self.kwargs))
 
     # ------------------------------------------------------------ #
@@ -82,12 +74,11 @@ class WorkerSource:
             "factory": self.factory,
             "kwargs": dict(self.kwargs),
             "shards": self.shards,
-            "partitioner": self.partitioner,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "WorkerSource":
-        known = {"factory", "kwargs", "shards", "partitioner"}
+        known = {"factory", "kwargs", "shards"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise QueryError(
@@ -97,7 +88,6 @@ class WorkerSource:
             factory=str(data["factory"]),
             kwargs=dict(data.get("kwargs", {})),  # type: ignore[arg-type]
             shards=int(data.get("shards", 1)),  # type: ignore[arg-type]
-            partitioner=str(data.get("partitioner", "hash")),
         )
 
     # ------------------------------------------------------------ #
@@ -130,7 +120,7 @@ class WorkerSource:
             router: ShardRouter = produced
             cleanup: Optional[Callable[[], None]] = None
         elif isinstance(produced, Mediator):
-            router = ShardRouter.partition(produced, self.shards, self.partitioner)
+            router = ShardRouter.partition(produced, self.shards)
             cleanup = None
         else:
             # workload-shaped objects: a pre-wired router + a close();
@@ -142,9 +132,7 @@ class WorkerSource:
             if isinstance(inner, ShardRouter):
                 router = inner
             elif isinstance(mediator, Mediator):
-                router = ShardRouter.partition(
-                    mediator, self.shards, self.partitioner
-                )
+                router = ShardRouter.partition(mediator, self.shards)
             else:
                 raise QueryError(
                     f"worker source {self.factory!r} produced "

@@ -89,16 +89,24 @@ class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.backend == "compiled"
-        assert config.builder == "batched"
         assert config.cache_graphs and config.cache_scores
 
     def test_bad_backend(self):
         with pytest.raises(RankingError, match="unknown backend"):
             EngineConfig(backend="gpu")
 
-    def test_bad_builder(self):
-        with pytest.raises(RankingError, match="unknown builder"):
-            EngineConfig(builder="columnar")
+    @pytest.mark.parametrize(
+        "field, old_default",
+        [("builder", "batched"), ("incremental", True), ("partitioner", "hash")],
+        ids=["builder", "incremental", "partitioner"],
+    )
+    def test_removed_fields_are_refused(self, field, old_default):
+        """One build path and one partitioner remain: the knobs that
+        picked between answer-identical implementations are gone."""
+        with pytest.raises(RankingError, match="unknown EngineConfig field"):
+            EngineConfig.from_dict({field: old_default})
+        with pytest.raises(TypeError):
+            EngineConfig(**{field: old_default})
 
     def test_bad_cache_sizes(self):
         with pytest.raises(RankingError, match="max_cached_scores"):
@@ -111,13 +119,11 @@ class TestEngineConfig:
     def test_make_engine_applies_settings(self):
         config = EngineConfig(
             backend="reference",
-            builder="scalar",
             cache_scores=False,
             max_cached_graphs=7,
         )
         engine = config.make_engine()
         assert engine.backend == "reference"
-        assert engine.builder == "scalar"
         assert engine.cache_scores is False
         assert engine.max_cached_graphs == 7
 
@@ -128,18 +134,13 @@ class TestEngineConfig:
     def test_shards_default_to_single_engine(self):
         config = EngineConfig()
         assert config.shards == 1
-        assert config.partitioner == "hash"
 
     @pytest.mark.parametrize("shards", [0, -2, 1.5, "two"])
     def test_bad_shards(self, shards):
         with pytest.raises(RankingError, match="shards"):
             EngineConfig(shards=shards)
 
-    def test_bad_partitioner(self):
-        with pytest.raises(RankingError, match="unknown partitioner"):
-            EngineConfig(partitioner="modulo")
-
     def test_sharded_round_trip(self):
-        config = EngineConfig(shards=4, partitioner="range")
+        config = EngineConfig(shards=4)
         assert config.as_dict()["shards"] == 4
         assert EngineConfig.from_dict(config.as_dict()) == config

@@ -13,12 +13,13 @@ join a flight that read storage before the write. The leader is held
 inside ``record_build`` after its reads; the write commits; an
 identical request then runs on its own (it finishes while the leader
 is still held) and equals a cold, cache-free session. Checked at the
-engine's ``(signature, builder)`` key, at the session's spec key, and
+engine's traversal key, at the session's spec key, and
 through HTTP.
 
 Admission: a warm request takes neither the flight nor the gate, a
-call already inside ``with session.admission:`` is not admitted again,
-and the followers of a shed leader count as shed.
+call already inside ``with session.admission:`` is not admitted again
+and never follows a flight whose leader is queued behind its slot, and
+the followers of a shed leader count as shed.
 
 Retention: a settled answer serves its spec until a write or an
 engine's ``invalidate()`` moves the token, in single mode and on two
@@ -623,3 +624,60 @@ class TestCloseWhileQueued:
         assert len(errors) == 3 and all(error is errors[0] for error in errors)
         assert isinstance(errors[0], RankingError) and "closed" in str(errors[0])
         assert gate.in_flight == 0 and gate.queued == 0
+
+
+class TestSlotHolderNeverFollows:
+    """A caller inside ``with session.admission:`` leads its own flight
+    instead of following one whose leader is queued behind its slot."""
+
+    @pytest.mark.parametrize("call", ["execute", "execute_many"])
+    def test_a_slot_holder_does_not_wait_on_its_own_slot(self, layered, call):
+        spec = layered.spec(method="path_count")
+        sibling = layered.spec(method="in_edge")
+        session = _served(layered, dict(max_concurrency=1, max_queue_depth=4))
+        gate = session.admission
+        holding = threading.Event()
+        outcomes = {}
+
+        def queued_leader():
+            try:
+                outcomes["queued"] = session.execute(spec)
+            except RankingError as exc:
+                outcomes["queued"] = exc
+
+        def holder():
+            try:
+                with gate:
+                    holding.set()
+                    # the leader of spec's flight waits for this slot
+                    assert _wait_for(lambda: gate.queued == 1)
+                    if call == "execute":
+                        outcomes["holder"] = session.execute(spec)
+                    else:
+                        outcomes["holder"] = session.execute_many([spec, sibling])[0]
+            except RankingError as exc:
+                outcomes["holder"] = exc
+
+        holding_thread = threading.Thread(target=holder, daemon=True)
+        queued_thread = threading.Thread(target=queued_leader, daemon=True)
+        holding_thread.start()
+        assert holding.wait(10)
+        try:
+            queued_thread.start()
+            holding_thread.join(5)
+            deadlocked = holding_thread.is_alive()
+        finally:
+            if holding_thread.is_alive():
+                # failing the queued leader fails the flight the holder
+                # follows, so the holder gives its slot back
+                session.close()
+            for thread in (holding_thread, queued_thread):
+                thread.join(10)
+                assert not thread.is_alive()
+        try:
+            assert not deadlocked, "the slot holder followed a flight queued behind its slot"
+            assert dict(outcomes["holder"].scores) == dict(outcomes["queued"].scores)
+            assert session._inflight._flights == {}
+            assert gate.in_flight == 0 and gate.queued == 0
+        finally:
+            session.close()

@@ -229,22 +229,6 @@ class TestQueryExecution:
             for e in fresh.graph.edges()
         ]
 
-    def test_source_mutation_invalidates_cold_without_incremental(self):
-        workload = mediated_layers(layers=3, width=10, rng=3)
-        engine = RankingEngine(mediator=workload.mediator, incremental=False)
-        cold = engine.execute(workload.query)
-        db = workload.mediator.sources[0].database
-        db.insert(
-            "links_rel0",
-            {"src": "E0:0", "dst": "E1:1", "w": 0.5},
-        )
-        rebuilt = engine.execute(workload.query)
-        assert rebuilt is not cold
-        assert engine.stats.graph_misses == 2
-        assert engine.stats.graph_repairs == 0
-        assert engine.stats.graph_hits == 0
-        assert rebuilt.graph.num_edges > cold.graph.num_edges
-
     def test_unread_table_mutation_keeps_cache_entry_warm(self):
         """Over-invalidation regression: a mutation in a bound table the
         cached build never read must stay a plain cache hit."""
@@ -349,10 +333,6 @@ class TestQueryExecution:
         assert engine.stats.graph_hits == 0
         assert engine.stats.graph_misses == 2
 
-    def test_unknown_builder_rejected_at_construction(self):
-        with pytest.raises(RankingError):
-            RankingEngine(builder="compiled")  # backend/builder confusion
-
     def test_mediator_swap_never_serves_foreign_graphs(self):
         """Reassigning engine.mediator must invalidate cached graphs even
         when the two mediators happen to share an epoch value."""
@@ -364,16 +344,6 @@ class TestQueryExecution:
         engine.mediator = b.mediator
         from_b = engine.execute(b.query)  # same signature as a.query
         assert from_b is not from_a
-        assert engine.stats.graph_misses == 2
-
-    def test_builder_is_part_of_the_cache_key(self, scenario3_small):
-        case = scenario3_small[0].case
-        engine = RankingEngine(mediator=case.mediator)
-        query = ExploratoryQuery(
-            "EntrezProtein", "name", case.spec.protein, outputs=("GOTerm",)
-        )
-        engine.execute(query, builder="batched")
-        engine.execute(query, builder="scalar")
         assert engine.stats.graph_misses == 2
 
     def test_rank_an_exploratory_query(self, scenario3_small):

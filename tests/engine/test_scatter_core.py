@@ -225,12 +225,10 @@ def test_malformed_record_is_a_transport_failure(record):
 #: option -> a value other than the RankingEngine default
 NON_DEFAULT_OPTIONS = {
     "backend": "reference",
-    "builder": "scalar",
     "cache_scores": False,
     "max_cached_scores": 7,
     "cache_graphs": False,
     "max_cached_graphs": 5,
-    "incremental": False,
 }
 
 
@@ -241,7 +239,7 @@ def test_engine_options_name_every_ranking_engine_keyword():
 
 
 class TestEngineOptionsReachEveryShard:
-    """``incremental=False`` means a write re-materialises cold: no
+    """``cache_graphs=False`` means a write re-materialises cold: no
     shard may repair, in either shard mode."""
 
     @pytest.fixture
@@ -251,7 +249,7 @@ class TestEngineOptionsReachEveryShard:
         generated.close()
 
     def test_thread_shards(self, workload):
-        config = EngineConfig(shards=2, incremental=False)
+        config = EngineConfig(shards=2, cache_graphs=False)
         spec = workload.spec(method="in_edge")
         with workload.open_session(config=config) as session:
             session.execute(spec)
@@ -259,14 +257,14 @@ class TestEngineOptionsReachEveryShard:
             session.execute(spec)
             stats = session.shard_stats()
         assert [s.graph_repairs for s in stats] == [0, 0]
-        assert [s.graph_misses for s in stats] == [2, 2]
+        assert [s.queries_executed for s in stats] == [2, 2]
 
-    @pytest.mark.parametrize("incremental, repairs", [(False, 0), (True, 1)])
-    def test_worker_engine(self, workload, incremental, repairs):
+    @pytest.mark.parametrize("cache_graphs, repairs", [(False, 0), (True, 1)])
+    def test_worker_engine(self, workload, cache_graphs, repairs):
         """The worker builds its engine from the boot record's options
         (run in process here: the same ShardWorker a worker process
         serves)."""
-        config = EngineConfig(shards=2, shard_mode="process", incremental=incremental)
+        config = EngineConfig(shards=2, shard_mode="process", cache_graphs=cache_graphs)
         worker = ShardWorker(0, workload.worker_source(), config.engine_options())
         try:
             params = {"spec": workload.spec(method="in_edge").to_dict()}

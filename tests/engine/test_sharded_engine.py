@@ -14,7 +14,6 @@ from repro.api import EngineConfig, Session, open_session
 from repro.engine import (
     EngineStats,
     HashPartitioner,
-    KeyRangePartitioner,
     ShardRouter,
     ShardedEngine,
 )
@@ -25,7 +24,7 @@ from repro.errors import (
     SchemaError,
     StorageError,
 )
-from repro.integration.partition import sink_entity_sets
+from repro.integration.partition import partition_mediator, sink_entity_sets
 from repro.workloads import mediated_layers
 
 
@@ -66,28 +65,6 @@ class TestPartitioners:
         # ...while genuinely distinct keys may differ ('3' != 3)
         assert isinstance(p.owner("E", "3"), int)
 
-    def test_key_range_partitioner(self):
-        p = KeyRangePartitioner(3, {"E1": ["g", "p"]})
-        assert p.owner("E1", "apple") == 0
-        assert p.owner("E1", "melon") == 1
-        assert p.owner("E1", "zebra") == 2
-        # sets without boundaries fall back to hash ownership (total)
-        assert 0 <= p.owner("Other", "x") < 3
-
-    def test_key_range_validation(self):
-        with pytest.raises(QueryError, match="sorted"):
-            KeyRangePartitioner(3, {"E1": ["p", "g"]})
-        with pytest.raises(QueryError, match="cannot split"):
-            KeyRangePartitioner(2, {"E1": ["a", "b", "c"]})
-
-    def test_balanced_ranges_cover_all_shards(self):
-        keys = [f"K{i:03d}" for i in range(90)]
-        p = KeyRangePartitioner.balanced(3, {"E1": keys})
-        counts = [0, 0, 0]
-        for key in keys:
-            counts[p.owner("E1", key)] += 1
-        assert all(count > 0 for count in counts)
-
 
 class TestRouter:
     def test_only_sink_sets_are_partitionable(self, workload):
@@ -114,10 +91,6 @@ class TestRouter:
         with pytest.raises(QueryError, match="mediators"):
             ShardRouter(workload.router.mediators, HashPartitioner(3))
 
-    def test_unknown_partitioner_name(self, workload):
-        with pytest.raises(QueryError, match="unknown partitioner"):
-            ShardRouter.partition(workload.mediator, 2, partitioner="modulo")
-
     def test_empty_schema_sharded_open_is_actionable(self):
         with pytest.raises(QueryError, match="sources first"):
             open_session(shards=2)
@@ -142,15 +115,6 @@ class TestRouter:
         finally:
             w.close()
 
-    def test_range_partitioner_by_name(self, workload):
-        router = ShardRouter.partition(workload.mediator, 2, partitioner="range")
-        session = Session(mediator=workload.mediator, router=router)
-        sharded = session.execute(workload.spec(method="path_count"))
-        reference = workload.open_session(sharded=False).execute(
-            workload.spec(method="path_count")
-        )
-        assert _nodes(sharded) == _nodes(reference)
-
 
 class TestFaultPaths:
     def test_empty_shard_partition_is_not_an_error(self):
@@ -165,10 +129,19 @@ class TestFaultPaths:
             w.close()
 
     def test_all_answers_on_one_shard(self, workload):
-        # a key-range with an extreme cut point: shard 1 owns nothing
-        partitioner = KeyRangePartitioner(2, {"E2": ["￿"]})
-        router = ShardRouter.partition(
-            workload.mediator, 2, partitioner=partitioner
+        # a stub partitioner that gives shard 0 every answer: shard 1
+        # owns nothing
+        class ShardZero:
+            shards = 2
+
+            def owner(self, entity_set, key):
+                return 0
+
+        partitioner = ShardZero()
+        router = ShardRouter(
+            partition_mediator(workload.mediator, 2, partitioner, ["E2"]),
+            partitioner,
+            {"E2": workload.mediator.entity_plan("E2").key_column},
         )
         session = Session(mediator=workload.mediator, router=router)
         sharded = session.execute(workload.spec(method="in_edge"))

@@ -22,9 +22,10 @@ from repro.workloads import mediated_layers, run_threaded_clients
 
 
 class _GatedQuery:
-    """Wraps a real ExploratoryQuery; ``expand`` signals ``started``,
-    then blocks until ``release`` — so the test controls exactly how
-    long the traversal stays in flight."""
+    """Wraps a real ExploratoryQuery; ``expand_with`` (every cached
+    build's traversal) signals ``started``, then blocks until
+    ``release`` — so the test controls exactly how long the traversal
+    stays in flight."""
 
     def __init__(self, inner, fail=None):
         self.inner = inner
@@ -38,14 +39,14 @@ class _GatedQuery:
         # the traversal key and output sets are the wrapped query's
         return getattr(self.inner, name)
 
-    def expand(self, mediator, builder="batched"):
+    def expand_with(self, mediator, graph_builder, **kwargs):
         with self._lock:
             self.calls += 1
         self.started.set()
         assert self.release.wait(10), "test never released the traversal"
         if self.fail is not None:
             raise self.fail
-        return self.inner.expand(mediator, builder=builder)
+        return self.inner.expand_with(mediator, graph_builder, **kwargs)
 
 
 def _await_counter(read, target, timeout=10.0):
@@ -87,7 +88,7 @@ def _herd(engine, query, n):
 class TestEngineSingleFlight:
     def test_identical_cold_queries_share_one_traversal(self):
         workload = mediated_layers(layers=3, width=12, fan_out=3, rng=5)
-        engine = RankingEngine(mediator=workload.mediator, incremental=False)
+        engine = RankingEngine(mediator=workload.mediator)
         query = _GatedQuery(workload.query)
         n = 8
 
@@ -103,7 +104,7 @@ class TestEngineSingleFlight:
 
     def test_failed_traversal_propagates_to_every_waiter(self):
         workload = mediated_layers(layers=3, width=12, fan_out=3, rng=5)
-        engine = RankingEngine(mediator=workload.mediator, incremental=False)
+        engine = RankingEngine(mediator=workload.mediator)
         boom = QueryError("traversal exploded")
         query = _GatedQuery(workload.query, fail=boom)
         n = 6
@@ -131,7 +132,7 @@ class TestEngineSingleFlight:
         leader's traversal, and each selects its own answers, so the
         leader's empty-answer error stays the leader's."""
         workload = mediated_layers(layers=3, width=12, fan_out=3, rng=5)
-        engine = RankingEngine(mediator=workload.mediator, incremental=False)
+        engine = RankingEngine(mediator=workload.mediator)
         base = workload.query
         leader_query = _GatedQuery(
             ExploratoryQuery(base.entity_set, base.attribute, base.value, ["E9"])
@@ -181,8 +182,8 @@ class TestSessionThunderingHerd:
             time.sleep(0.05)
             return real(self, mediator, builder, **kwargs)
 
-        # both cold paths (plain and probe-recording) funnel through
-        # expand_with, so this counts traversals exactly
+        # every cold build funnels through expand_with, so this counts
+        # traversals exactly
         monkeypatch.setattr(ExploratoryQuery, "expand_with", counted)
 
         n = 12

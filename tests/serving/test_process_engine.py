@@ -210,6 +210,15 @@ class TestWorkerSource:
                 "factory": "a:b", "bogus": 1,
             })
 
+    def test_partitioner_key_rejected(self):
+        """Every worker partitions by the one stable hash partitioner,
+        so the wire form carries no partitioner to choose."""
+        assert "partitioner" not in WorkerSource(factory="a:b").to_dict()
+        with pytest.raises(QueryError, match="unknown WorkerSource field"):
+            WorkerSource.from_dict({
+                "factory": "a:b", "partitioner": "hash",
+            })
+
     def test_bad_factory_reference_rejected(self):
         with pytest.raises(QueryError, match="module:attr"):
             WorkerSource(factory="no-colon-here")

@@ -5,11 +5,25 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import EngineConfig
-from repro.serving.server import serve
+from repro.engine.sharded import ShardFragment, merge_fragments
+from repro.errors import (
+    EmptyAnswerError,
+    OverloadedError,
+    QueryError,
+    RankingError,
+    SchemaError,
+    StorageError,
+    ValidationError,
+)
+from repro.serving import rpc
+from repro.serving.engine import ProcessShardedEngine
+from repro.serving.server import _status_for, serve
+from repro.workloads import mediated_layers
 
 
 def _get(url, path):
@@ -136,6 +150,82 @@ class TestErrorMapping:
             raise AssertionError("expected 404")
         except urllib.error.HTTPError as exc:
             assert exc.code == 404
+
+
+def _raised(call):
+    """The library error ``call()`` raises."""
+    with pytest.raises(Exception) as caught:
+        call()
+    return caught.value
+
+
+class _DeadWorker:
+    """A worker handle whose every respawn and call breaks the transport."""
+
+    shard = 1
+
+    def _broken(self, *args, **kwargs):
+        raise rpc.RpcTransportError("connection closed by peer")
+
+    ensure_alive = restart = call = _broken
+
+
+def _partial_failure():
+    empty = ShardFragment(0, empty=EmptyAnswerError("empty", kind="no-seeds"))
+    return merge_fragments(
+        "in_edge", [0, 1], [("ok", empty), ("error", StorageError("disk vanished"))]
+    )
+
+
+def _restarts_exhausted():
+    supervisor = SimpleNamespace(worker_restarts=1, rpc_timeout=1.0)
+    return ProcessShardedEngine._call_supervised(
+        supervisor, _DeadWorker(), "score_fragment", {}
+    )
+
+
+def _no_seeds_naming_a_shard_failure():
+    """An unsharded no-seeds error whose client-chosen value reads like
+    a shard failure: still the query's fault."""
+    workload = mediated_layers(layers=2, width=4, fan_out=2, rng=7)
+    try:
+        with workload.open_session() as session:
+            spec = workload.spec(method="in_edge").to_dict()
+            session.execute({**spec, "value": "failed during scatter/gather"})
+    finally:
+        workload.close()
+
+
+#: (id, the error as its source raises it, expected HTTP status)
+STATUS_CASES = [
+    ("shed", lambda: OverloadedError("session overloaded"), 503),
+    ("transport failure", lambda: rpc.RpcTransportError("EOF"), 502),
+    ("malformed fragment",
+     lambda: _raised(lambda: rpc.decode_fragment(1, {"status": "ok", "owned": 7})), 502),
+    ("partial failure", lambda: _raised(_partial_failure), 502),
+    ("restarts exhausted", lambda: _raised(_restarts_exhausted), 502),
+    ("no seeds, value naming a shard failure",
+     lambda: _raised(_no_seeds_naming_a_shard_failure), 400),
+    ("empty answer", lambda: EmptyAnswerError("no answers"), 400),
+    ("query error", lambda: QueryError("unknown entity set 'E9'"), 400),
+    ("worker application error", lambda: rpc.RpcRemoteError("bad options"), 400),
+    ("ranking error", lambda: RankingError("did not converge"), 400),
+    ("storage error", lambda: StorageError("disk vanished"), 400),
+    ("schema error", lambda: SchemaError("no sink entity sets"), 400),
+    ("validation error", lambda: ValidationError("p outside [0, 1]"), 400),
+]
+
+
+@pytest.mark.parametrize(
+    "make_error, status",
+    [case[1:] for case in STATUS_CASES],
+    ids=[case[0] for case in STATUS_CASES],
+)
+def test_status_is_decided_by_the_error_type(make_error, status):
+    """503 for shed requests, 502 for a failed shard (broken transport,
+    partial failure, exhausted restarts), 400 for every other library
+    error, whatever its message says."""
+    assert _status_for(make_error()) == status
 
 
 class TestLifecycle:
