@@ -2,24 +2,34 @@
 
 These replace the scattered keyword arguments of the lower layers
 (``rank(..., strategy=..., trials=..., rng=...)``,
-``RankingEngine(backend=..., max_cached_scores=...)``) with
-two small frozen dataclasses that validate eagerly and serialise to
-plain dicts:
+``RankingEngine(cache_scores=..., max_cached_scores=...)``) with
+two small frozen dataclasses that validate every field eagerly and
+serialise to plain dicts:
 
 * :class:`RankingOptions` — per-query scoring knobs. Only the fields
   relevant to the query's ranking method are forwarded to the scoring
   function, so one options object can be shared across methods.
-* :class:`EngineConfig` — per-session serving knobs (backend, cache
-  sizes, ``execute_many`` thread pool width, shards, admission). The
-  defaults are the serving defaults: compiled CSR kernels and all
-  caches on.
+* :class:`EngineConfig` — per-session serving knobs (cache sizes,
+  ``execute_many`` thread pool width, storage, shards, admission). The
+  defaults are the serving defaults: all caches on. Every session
+  scores with the compiled CSR kernels; the reference kernels are the
+  test oracle behind :func:`repro.core.ranker.rank`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Type, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Dict,
+    Mapping,
+    Optional,
+    Type,
+    TypeVar,
+)
 
 if TYPE_CHECKING:
     from repro.engine.ranking import RankingEngine
@@ -28,12 +38,42 @@ if TYPE_CHECKING:
 
 _T = TypeVar("_T")
 
-from repro.core.ranker import BACKENDS, resolve_method
+from repro.core.ranker import resolve_method
 from repro.core.reliability import RELIABILITY_STRATEGIES, STOCHASTIC_STRATEGIES
 from repro.errors import RankingError
 from repro.storage.backends import STORAGE_BACKENDS
 
 __all__ = ["EngineConfig", "RankingOptions"]
+
+
+def _is_int(value: object) -> bool:
+    # ``bool`` is an ``int`` to Python, but never a count or a duration
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: what a field's value may be, keyed by the phrase its error names
+_KINDS: Dict[str, Callable[[object], bool]] = {
+    "a bool": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a positive integer": lambda v: _is_int(v) and v >= 1,
+    "a non-negative integer": lambda v: _is_int(v) and v >= 0,
+    "a positive number": lambda v: (_is_int(v) or isinstance(v, float)) and v > 0,
+}
+
+
+def _check_fields(
+    owner: object, kinds: Mapping[str, str], optional: Collection[str] = ()
+) -> None:
+    """Refuse the first field of ``owner`` whose value is not of its
+    kind in :data:`_KINDS`; a field named in ``optional`` may also be
+    ``None``."""
+    for name, kind in kinds.items():
+        value = getattr(owner, name)
+        if value is None and name in optional:
+            continue
+        if not _KINDS[kind](value):
+            none = "None or " if name in optional else ""
+            raise RankingError(f"{name} must be {none}{kind}, got {value!r}")
 
 
 def _from_mapping(cls: Type[_T], data: Mapping[str, object], what: str) -> _T:
@@ -44,6 +84,16 @@ def _from_mapping(cls: Type[_T], data: Mapping[str, object], what: str) -> _T:
             f"unknown {what} field(s) {unknown}; known fields: {sorted(known)}"
         )
     return cls(**data)
+
+
+#: the typed fields of :class:`RankingOptions`, every one optional
+_OPTION_KINDS = {
+    "trials": "a positive integer",
+    "reduce": "a bool",
+    "iterations": "a positive integer",
+    "tolerance": "a positive number",
+    "max_iterations": "a positive integer",
+}
 
 
 @dataclass(frozen=True)
@@ -81,18 +131,7 @@ choose from ['auto', 'mc', 'naive-mc', 'closed', 'exact']
                 f"unknown reliability strategy {self.strategy!r}; choose "
                 f"from {list(RELIABILITY_STRATEGIES)}"
             )
-        for name in ("trials", "iterations", "max_iterations"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
-                raise RankingError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise RankingError(
-                f"tolerance must be > 0, got {self.tolerance!r}"
-            )
-        if self.reduce is not None and not isinstance(self.reduce, bool):
-            raise RankingError(f"reduce must be a bool, got {self.reduce!r}")
+        _check_fields(self, _OPTION_KINDS, optional=_OPTION_KINDS)
 
     @property
     def is_stochastic(self) -> bool:
@@ -171,22 +210,43 @@ choose from ['auto', 'mc', 'naive-mc', 'closed', 'exact']
         return _from_mapping(cls, data, "RankingOptions")
 
 
+#: the typed fields of :class:`EngineConfig` (``storage`` and
+#: ``shard_mode`` are checked against their choices)
+_ENGINE_KINDS = {
+    "cache_graphs": "a bool",
+    "max_cached_graphs": "a positive integer",
+    "cache_scores": "a bool",
+    "max_cached_scores": "a positive integer",
+    "max_workers": "a non-negative integer",
+    "storage_path": "a string",
+    "shards": "a positive integer",
+    "rpc_timeout": "a positive number",
+    "worker_restarts": "a non-negative integer",
+    "max_concurrency": "a positive integer",
+    "max_queue_depth": "a non-negative integer",
+    "retry_after": "a positive number",
+}
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """How a :class:`~repro.api.Session` executes, caches and stores.
 
-    The defaults are the serving defaults — compiled kernels,
-    query/compile/score caches on, and a small thread pool for
-    ``execute_many``.
+    The defaults are the serving defaults — query/compile/score caches
+    on, and a small thread pool for ``execute_many``. Every field is
+    checked on construction; a count or a duration refuses a ``bool``.
 
     Example::
 
         >>> config = EngineConfig(storage="sqlite")
-        >>> config.backend, config.cache_graphs, config.storage
-        ('compiled', True, 'sqlite')
+        >>> config.cache_graphs, config.storage
+        (True, 'sqlite')
+        >>> EngineConfig.from_dict({"cache_graphs": "false"})
+        Traceback (most recent call last):
+            ...
+        repro.errors.RankingError: cache_graphs must be a bool, got 'false'
     """
 
-    backend: str = "compiled"
     #: the query cache: expansions keyed by traversal and kept current
     #: across writes — cached graphs survive changes to tables they
     #: never read, and bounded changes to tables they did read are
@@ -252,10 +312,6 @@ class EngineConfig:
     retry_after: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise RankingError(
-                f"unknown backend {self.backend!r}; choose from {list(BACKENDS)}"
-            )
         if self.storage not in STORAGE_BACKENDS:
             raise RankingError(
                 f"unknown storage backend {self.storage!r}; choose from "
@@ -269,61 +325,22 @@ class EngineConfig:
                 f"storage_path only applies to storage='sqlite' or "
                 f"storage='vectorized', not {self.storage!r}"
             )
-        for name in ("max_cached_graphs", "max_cached_scores"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise RankingError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        if not isinstance(self.max_workers, int) or self.max_workers < 0:
-            raise RankingError(
-                f"max_workers must be a non-negative integer, got "
-                f"{self.max_workers!r}"
-            )
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise RankingError(
-                f"shards must be a positive integer, got {self.shards!r}"
-            )
         if self.shard_mode not in ("thread", "process"):
             raise RankingError(
                 f'shard_mode must be "thread" or "process", got '
                 f"{self.shard_mode!r}"
             )
-        if not isinstance(self.rpc_timeout, (int, float)) or not self.rpc_timeout > 0:
-            raise RankingError(
-                f"rpc_timeout must be a positive number of seconds, got "
-                f"{self.rpc_timeout!r}"
-            )
-        if not isinstance(self.worker_restarts, int) or self.worker_restarts < 0:
-            raise RankingError(
-                f"worker_restarts must be a non-negative integer, got "
-                f"{self.worker_restarts!r}"
-            )
-        if not isinstance(self.max_concurrency, int) or self.max_concurrency < 1:
-            raise RankingError(
-                f"max_concurrency must be a positive integer, got "
-                f"{self.max_concurrency!r}"
-            )
-        if self.max_queue_depth is not None and (
-            not isinstance(self.max_queue_depth, int) or self.max_queue_depth < 0
-        ):
-            raise RankingError(
-                f"max_queue_depth must be None (unbounded) or a "
-                f"non-negative integer, got {self.max_queue_depth!r}"
-            )
-        if not isinstance(self.retry_after, (int, float)) or not self.retry_after > 0:
-            raise RankingError(
-                f"retry_after must be a positive number of seconds, got "
-                f"{self.retry_after!r}"
-            )
+        _check_fields(
+            self, _ENGINE_KINDS, optional=("storage_path", "max_queue_depth")
+        )
 
     def make_engine(self, mediator: Optional["Mediator"] = None) -> "RankingEngine":
         """A :class:`~repro.engine.RankingEngine` configured accordingly.
 
         Example::
 
-            >>> EngineConfig(backend="reference").make_engine().backend
-            'reference'
+            >>> EngineConfig(cache_scores=False).make_engine().cache_scores
+            False
         """
         from repro.engine.ranking import RankingEngine
 
@@ -340,7 +357,6 @@ class EngineConfig:
             False
         """
         return {
-            "backend": self.backend,
             "cache_scores": self.cache_scores,
             "max_cached_scores": self.max_cached_scores,
             "cache_graphs": self.cache_graphs,
@@ -378,8 +394,8 @@ class EngineConfig:
 
         Example::
 
-            >>> EngineConfig().as_dict()["backend"]
-            'compiled'
+            >>> EngineConfig().as_dict()["shard_mode"]
+            'thread'
         """
         return asdict(self)
 

@@ -89,7 +89,6 @@ class Explanation:
     graph_cached: bool
     #: ranked from the fingerprint-keyed score cache?
     score_cached: bool
-    backend: str
     #: the query graph's size; summed over the shard builds unless one
     #: shard owns every answer (replicated ancestors count per shard)
     nodes: int
@@ -110,7 +109,6 @@ class Explanation:
             "spec": self.spec.to_dict(),
             "graph_cached": self.graph_cached,
             "score_cached": self.score_cached,
-            "backend": self.backend,
             "nodes": self.nodes,
             "edges": self.edges,
             "answers": self.answers,
@@ -123,7 +121,7 @@ class Explanation:
 
     def __str__(self) -> str:
         graph_src = "query cache" if self.graph_cached else "a cold build"
-        score_src = "score cache" if self.score_cached else f"{self.backend} backend"
+        score_src = "score cache" if self.score_cached else "the kernels"
         return (
             f"{self.spec.entity_set}.{self.spec.attribute}="
             f"{self.spec.value!r} -> {sorted(self.spec.outputs)} "
@@ -563,7 +561,6 @@ class Session:
         method: str = "reliability",
         options: Optional[Union[RankingOptions, Mapping[str, object]]] = None,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> ResultSet:
         """Rank an already-materialised query graph (synthetic
         workloads, generated cases) through the session's engine.
@@ -574,9 +571,7 @@ class Session:
             options = RankingOptions()
         elif not isinstance(options, RankingOptions):
             options = RankingOptions.from_dict(options)
-        ranked = self._engine.rank(
-            graph, method, backend=backend, **options.to_kwargs(method, seed)
-        )
+        ranked = self._engine.rank(graph, method, **options.to_kwargs(method, seed))
         return ResultSet(ranked, graph)
 
     def rank_many(self, targets: Iterable[object], **kwargs: object) -> List:
@@ -612,7 +607,6 @@ class Session:
             spec=spec,
             graph_cached=gathered.graph_cached,
             score_cached=gathered.score_cached,
-            backend=self._config.backend,
             nodes=gathered.nodes,
             edges=gathered.edges,
             answers=len(gathered.scores),
@@ -722,7 +716,6 @@ class Session:
         state = "closed" if self._closed else "open"
         return (
             f"<Session {state} sources={len(self._mediator.sources)} "
-            f"backend={self._config.backend!r} "
             f"shards={self._scatter.shards} ({self._scatter.mode})>"
         )
 

@@ -9,11 +9,12 @@ style entries of Tables 2 and 3.
 Every method is served by two interchangeable backends:
 
 * ``backend="reference"`` — the original dict-walking implementations,
-  kept as the semantic ground truth;
+  kept as the semantic ground truth and the test oracle;
 * ``backend="compiled"`` — the vectorized kernels of
   :mod:`repro.core.kernels` over the shared CSR representation of
   :mod:`repro.core.compile` (pass ``compiled=`` to reuse an already
-  compiled graph, as the :class:`~repro.engine.RankingEngine` does).
+  compiled graph). The :class:`~repro.engine.RankingEngine`, and so
+  every session, always scores on these.
 """
 
 from __future__ import annotations

@@ -73,8 +73,12 @@ import numpy as np
 
 from repro.core.compile import CompiledGraph, compile_graph, patch_compiled
 from repro.core.graph import ProbabilisticEntityGraph, QueryGraph
-from repro.core.kernels import reduced_compiled, samples_reduced_graph
-from repro.core.ranker import BACKENDS, RankedResult, rank, resolve_method
+from repro.core.kernels import (
+    COMPILED_METHODS,
+    reduced_compiled,
+    samples_reduced_graph,
+)
+from repro.core.ranker import RankedResult, resolve_method
 from repro.core.reliability import STOCHASTIC_STRATEGIES
 from repro.errors import EmptyAnswerError, RankingError
 from repro.integration.builder import BuildStats
@@ -317,7 +321,7 @@ def _unpack_scores(entry: _ScoreEntry) -> Dict[NodeId, float]:
 
 
 def _samples_reduced(method: str, options: Mapping[str, object]) -> bool:
-    """Whether the compiled backend samples the reduced graph for this
+    """Whether the kernels sample the reduced graph for this
     request (the reducing Monte Carlo reliability strategies)."""
     return method == "reliability" and samples_reduced_graph(
         options.get("strategy", "auto"), options.get("reduce", True)
@@ -325,7 +329,7 @@ def _samples_reduced(method: str, options: Mapping[str, object]) -> bool:
 
 
 def _consumes_ir(method: str, options: Mapping[str, object]) -> bool:
-    """Whether the compiled backend actually reads a precompiled IR of
+    """Whether the kernels actually read a precompiled IR of
     the graph itself for this request. Reliability's closed/exact
     strategies delegate to the dict-level solvers, and its reducing
     Monte Carlo strategies sample the *reduced* graph's IR instead."""
@@ -334,6 +338,19 @@ def _consumes_ir(method: str, options: Mapping[str, object]) -> bool:
     if options.get("strategy", "auto") in ("closed", "exact"):
         return False
     return not _samples_reduced(method, options)
+
+
+def rank(
+    qg: QueryGraph,
+    method: str,
+    compiled: Optional[CompiledGraph],
+    **options: object,
+) -> RankedResult:
+    """Score ``qg`` by the canonical ``method`` on the compiled CSR
+    kernels, bit for bit what :func:`repro.core.ranker.rank` computes
+    on them: the one scoring call of every engine."""
+    scores = COMPILED_METHODS[method](qg, compiled=compiled, **options)
+    return RankedResult(method=method, scores=dict(scores))
 
 
 def _read_changes(
@@ -360,26 +377,19 @@ def _freeze_option(value: object) -> Optional[object]:
 class RankingEngine:
     """Batched, cached ranking over a mediator's exploratory queries.
 
-    ``backend`` selects the scoring implementation for every request
-    (``"compiled"`` by default — the vectorized CSR kernels); per-call
-    overrides are accepted by :meth:`rank`.
+    Every request is scored by the compiled CSR kernels; the reference
+    kernels are the test oracle behind :func:`repro.core.ranker.rank`.
     """
 
     def __init__(
         self,
         mediator: Optional[Mediator] = None,
-        backend: str = "compiled",
         cache_scores: bool = True,
         max_cached_scores: int = 1024,
         cache_graphs: bool = True,
         max_cached_graphs: int = 256,
     ):
-        if backend not in BACKENDS:
-            raise RankingError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
         self.mediator = mediator
-        self.backend = backend
         self.cache_scores = cache_scores
         self.max_cached_scores = max_cached_scores
         self.cache_graphs = cache_graphs
@@ -714,7 +724,6 @@ class RankingEngine:
         self,
         fingerprint: str,
         method: str,
-        backend: str,
         options: Mapping[str, object],
     ) -> Optional[Tuple]:
         if not self.cache_scores:
@@ -731,15 +740,12 @@ class RankingEngine:
                 options.get("rng"), int
             ):
                 return None  # unseeded sampling: caching would freeze noise
-        # the backend is part of the key: the Monte Carlo backends draw
-        # from different RNG streams, so their seeded estimates differ
-        return (fingerprint, method, backend, tuple(frozen))
+        return (fingerprint, method, tuple(frozen))
 
     def rank(
         self,
         target: Rankable,
         method: str = "reliability",
-        backend: Optional[str] = None,
         **options: object,
     ) -> RankedResult:
         """Rank one query graph (or execute-and-rank one query).
@@ -747,13 +753,12 @@ class RankingEngine:
         Scores are served from the fingerprint-keyed cache when the
         request is deterministic and has been answered before.
         """
-        return self.rank_with_stats(target, method, backend=backend, **options)[0]
+        return self.rank_with_stats(target, method, **options)[0]
 
     def rank_with_stats(
         self,
         target: Rankable,
         method: str = "reliability",
-        backend: Optional[str] = None,
         **options: object,
     ) -> Tuple[RankedResult, bool]:
         """Like :meth:`rank`, but also report whether the scores came
@@ -761,21 +766,15 @@ class RankingEngine:
         concurrent callers (unlike diffing the global counters)."""
         qg = self._resolve_graph(target)
         canonical = resolve_method(method)
-        chosen_backend = backend or self.backend
-        # compile only when the request can use it: the compiled backend
-        # consumes the CSR form (except the reliability strategies that
-        # delegate to dict-level solvers or sample the reduced graph),
-        # and the score cache keys its fingerprint
-        consumes_ir = chosen_backend == "compiled" and _consumes_ir(
-            canonical, options
-        )
+        # compile only when the request can use it: the kernels consume
+        # the CSR form (except the reliability strategies that delegate
+        # to dict-level solvers or sample the reduced graph), and the
+        # score cache keys its fingerprint
         compiled: Optional[CompiledGraph] = None
         key: Optional[Tuple] = None
-        if consumes_ir or self.cache_scores:
+        if self.cache_scores or _consumes_ir(canonical, options):
             compiled = self.compile(qg)
-            key = self._cache_key(
-                compiled.fingerprint, canonical, chosen_backend, options
-            )
+            key = self._cache_key(compiled.fingerprint, canonical, options)
         if key is not None:
             with self._lock:
                 cached = self._scores.get(key)
@@ -788,15 +787,9 @@ class RankingEngine:
                 ), True
         with self._lock:
             self.stats.score_misses += 1
-        if chosen_backend == "compiled" and _samples_reduced(canonical, options):
+        if _samples_reduced(canonical, options):
             options = {**options, "reduced": self._reduced_compiled(qg)}
-        result = rank(
-            qg,
-            canonical,
-            backend=chosen_backend,
-            compiled=compiled if chosen_backend == "compiled" else None,
-            **options,
-        )
+        result = rank(qg, canonical, compiled, **options)
         if key is not None:
             entry = _pack_scores(result.scores)
             with self._lock:
@@ -810,7 +803,6 @@ class RankingEngine:
         targets: Iterable[Rankable],
         method: str = "reliability",
         methods: Optional[Sequence[str]] = None,
-        backend: Optional[str] = None,
         method_options: Optional[Mapping[str, Mapping[str, object]]] = None,
         **options: object,
     ) -> List:
@@ -833,15 +825,13 @@ class RankingEngine:
             if methods is None:
                 opts = dict(options)
                 opts.update(per_method.get(resolve_method(method), {}))
-                results.append(self.rank(qg, method, backend=backend, **opts))
+                results.append(self.rank(qg, method, **opts))
             else:
                 batch: Dict[str, RankedResult] = {}
                 for name in methods:
                     canonical = resolve_method(name)
                     opts = dict(options)
                     opts.update(per_method.get(canonical, {}))
-                    batch[canonical] = self.rank(
-                        qg, canonical, backend=backend, **opts
-                    )
+                    batch[canonical] = self.rank(qg, canonical, **opts)
                 results.append(batch)
         return results

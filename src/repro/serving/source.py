@@ -58,10 +58,18 @@ class WorkerSource:
                 f"worker source factory must be a 'module:attr' reference, "
                 f"got {self.factory!r}"
             )
-        if not isinstance(self.shards, int) or self.shards < 1:
+        if (
+            not isinstance(self.shards, int)
+            or isinstance(self.shards, bool)
+            or self.shards < 1
+        ):
             raise QueryError(
                 f"worker source shards must be a positive integer, got "
                 f"{self.shards!r}"
+            )
+        if not isinstance(self.kwargs, Mapping):
+            raise QueryError(
+                f"worker source kwargs must be a mapping, got {self.kwargs!r}"
             )
         object.__setattr__(self, "kwargs", dict(self.kwargs))
 
@@ -84,11 +92,8 @@ class WorkerSource:
             raise QueryError(
                 f"unknown WorkerSource field(s) {unknown}; known: {sorted(known)}"
             )
-        return cls(
-            factory=str(data["factory"]),
-            kwargs=dict(data.get("kwargs", {})),  # type: ignore[arg-type]
-            shards=int(data.get("shards", 1)),  # type: ignore[arg-type]
-        )
+        # the values pass through as sent, so __post_init__ judges them
+        return cls(**data)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------ #
     # resolution (runs inside the worker process)

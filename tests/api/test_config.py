@@ -1,5 +1,7 @@
 """RankingOptions / EngineConfig: validation, kwarg mapping, round trips."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.api import EngineConfig, RankingOptions
@@ -20,10 +22,14 @@ class TestRankingOptionsValidation:
             RankingOptions(**{field: 0})
         with pytest.raises(RankingError, match=field):
             RankingOptions(**{field: 2.5})
+        # ``True`` is an int to Python, but not a count of trials
+        with pytest.raises(RankingError, match=field):
+            RankingOptions.from_dict({field: True})
 
     def test_bad_tolerance(self):
-        with pytest.raises(RankingError, match="tolerance"):
-            RankingOptions(tolerance=0.0)
+        for tolerance in (0.0, "x", True):
+            with pytest.raises(RankingError, match="tolerance"):
+                RankingOptions(tolerance=tolerance)
 
     def test_bad_reduce(self):
         with pytest.raises(RankingError, match="reduce"):
@@ -88,57 +94,75 @@ class TestOptionsRoundTrip:
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.backend == "compiled"
+        assert len(fields(config)) == 14
         assert config.cache_graphs and config.cache_scores
-
-    def test_bad_backend(self):
-        with pytest.raises(RankingError, match="unknown backend"):
-            EngineConfig(backend="gpu")
 
     @pytest.mark.parametrize(
         "field, old_default",
-        [("builder", "batched"), ("incremental", True), ("partitioner", "hash")],
-        ids=["builder", "incremental", "partitioner"],
+        [
+            ("builder", "batched"),
+            ("incremental", True),
+            ("partitioner", "hash"),
+            ("backend", "reference"),
+        ],
+        ids=["builder", "incremental", "partitioner", "backend"],
     )
     def test_removed_fields_are_refused(self, field, old_default):
-        """One build path and one partitioner remain: the knobs that
-        picked between answer-identical implementations are gone."""
+        """One build path, one partitioner and one kernel path remain:
+        the knobs that picked between answer-identical implementations
+        are gone."""
         with pytest.raises(RankingError, match="unknown EngineConfig field"):
             EngineConfig.from_dict({field: old_default})
         with pytest.raises(TypeError):
             EngineConfig(**{field: old_default})
 
-    def test_bad_cache_sizes(self):
-        with pytest.raises(RankingError, match="max_cached_scores"):
-            EngineConfig(max_cached_scores=0)
-
-    def test_bad_workers(self):
-        with pytest.raises(RankingError, match="max_workers"):
-            EngineConfig(max_workers=-1)
-
     def test_make_engine_applies_settings(self):
-        config = EngineConfig(
-            backend="reference",
-            cache_scores=False,
-            max_cached_graphs=7,
-        )
+        config = EngineConfig(cache_scores=False, max_cached_graphs=7)
         engine = config.make_engine()
-        assert engine.backend == "reference"
         assert engine.cache_scores is False
         assert engine.max_cached_graphs == 7
 
     def test_round_trip(self):
-        config = EngineConfig(backend="reference", max_workers=2)
+        config = EngineConfig(cache_graphs=False, max_workers=2)
         assert EngineConfig.from_dict(config.as_dict()) == config
 
     def test_shards_default_to_single_engine(self):
         config = EngineConfig()
         assert config.shards == 1
 
-    @pytest.mark.parametrize("shards", [0, -2, 1.5, "two"])
-    def test_bad_shards(self, shards):
-        with pytest.raises(RankingError, match="shards"):
-            EngineConfig(shards=shards)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shards", 0),
+            ("shards", -2),
+            ("shards", 1.5),
+            ("shards", "two"),
+            ("shards", True),
+            ("max_cached_scores", 0),
+            ("max_cached_graphs", True),
+            ("max_workers", -1),
+            ("max_workers", False),
+            ("cache_graphs", "false"),
+            ("cache_scores", 0),
+            ("worker_restarts", True),
+            ("max_concurrency", True),
+            ("max_queue_depth", False),
+            ("rpc_timeout", True),
+            ("rpc_timeout", "30"),
+            ("retry_after", float("nan")),
+            ("storage_path", 7),
+        ],
+    )
+    def test_bad_values(self, field, value):
+        """Every field is checked, through ``from_dict`` as through the
+        constructor; ``bool`` is an ``int`` to Python, but never a
+        count or a duration here."""
+        # on sqlite, a storage_path reaches its type check
+        data = {field: value, "storage": "sqlite"}
+        with pytest.raises(RankingError, match=field):
+            EngineConfig(**data)
+        with pytest.raises(RankingError, match=field):
+            EngineConfig.from_dict(data)
 
     def test_sharded_round_trip(self):
         config = EngineConfig(shards=4)

@@ -19,15 +19,6 @@ class TestRankMatchesDirect:
             for node in direct:
                 assert via_engine[node] == pytest.approx(direct[node], abs=1e-9)
 
-    def test_reference_backend_override(self, two_target_dag):
-        engine = RankingEngine(backend="compiled")
-        result = engine.rank(two_target_dag, "propagation", backend="reference")
-        assert result.scores == rank(two_target_dag, "propagation").scores
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(RankingError):
-            RankingEngine(backend="quantum")
-
 
 class TestCaching:
     def test_score_cache_hits_on_repeat(self, wheatstone):
@@ -67,24 +58,6 @@ class TestCaching:
         engine.rank(wheatstone, "reliability", strategy="mc", trials=50)
         engine.rank(wheatstone, "reliability", strategy="mc", trials=50)
         assert engine.stats.score_hits == 0
-
-    def test_backend_is_part_of_the_cache_key(self, wheatstone):
-        """A seeded MC estimate cached for one backend must not be served
-        to an explicit request for the other (different RNG streams)."""
-        engine = RankingEngine()
-        options = dict(strategy="mc", reduce=False, trials=2000, rng=7)
-        compiled = engine.rank(
-            wheatstone, "reliability", backend="compiled", **options
-        )
-        reference = engine.rank(
-            wheatstone, "reliability", backend="reference", **options
-        )
-        assert engine.stats.score_hits == 0
-        from repro.core.ranker import rank as direct_rank
-
-        direct = direct_rank(wheatstone, "reliability", **options)
-        assert reference.scores == direct.scores
-        assert compiled.scores != reference.scores  # different streams
 
     def test_seeded_monte_carlo_cached(self, wheatstone):
         engine = RankingEngine()
@@ -384,18 +357,13 @@ class TestPackedScoreCache:
         engine = RankingEngine(mediator=workload.mediator)
         return engine, engine.execute(workload.query)
 
-    @pytest.mark.parametrize("backend", ["compiled", "reference"])
     @pytest.mark.parametrize(
         "method,options", _REQUESTS, ids=[m for m, _ in _REQUESTS]
     )
-    def test_hit_returns_the_miss_exactly(self, method, options, backend):
+    def test_hit_returns_the_miss_exactly(self, method, options):
         engine, qg = self._graph()
-        miss, miss_cached = engine.rank_with_stats(
-            qg, method, backend=backend, **options
-        )
-        hit, hit_cached = engine.rank_with_stats(
-            qg, method, backend=backend, **options
-        )
+        miss, miss_cached = engine.rank_with_stats(qg, method, **options)
+        hit, hit_cached = engine.rank_with_stats(qg, method, **options)
         assert (miss_cached, hit_cached) == (False, True)
         assert list(hit.scores) == list(miss.scores)
         assert [type(v) for v in hit.scores.values()] == [float] * len(hit.scores)

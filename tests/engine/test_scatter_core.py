@@ -224,7 +224,6 @@ def test_malformed_record_is_a_transport_failure(record):
 
 #: option -> a value other than the RankingEngine default
 NON_DEFAULT_OPTIONS = {
-    "backend": "reference",
     "cache_scores": False,
     "max_cached_scores": 7,
     "cache_graphs": False,

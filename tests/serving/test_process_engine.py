@@ -223,6 +223,22 @@ class TestWorkerSource:
         with pytest.raises(QueryError, match="module:attr"):
             WorkerSource(factory="no-colon-here")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("shards", 2.9, "shards"),
+            ("shards", "3", "shards"),
+            ("shards", True, "shards"),
+            ("factory", ["a:b"], "module:attr"),
+            ("kwargs", [["rng", 3]], "kwargs"),
+        ],
+    )
+    def test_wire_values_are_not_coerced(self, field, value, message):
+        """The boot record's values reach ``__post_init__`` as sent, so a
+        float, string or bool shard count is refused, not truncated."""
+        with pytest.raises(QueryError, match=message):
+            WorkerSource.from_dict({"factory": "a:b", field: value})
+
     def test_unsharded_workload_needs_explicit_seed(self):
         generated = mediated_layers(layers=2, width=4, shards=2)  # rng=None
         try:

@@ -133,6 +133,15 @@ class TestErrorMapping:
         assert status == 400
         assert body["error"]["type"] in ("QueryError", "ValidationError")
 
+    def test_wrong_typed_options_are_400(self, server, workload):
+        """Options arrive in request bodies: a wrong-typed one is the
+        client's error, not a 500 or a silent one-trial Monte Carlo."""
+        for options in ({"tolerance": "x"}, {"trials": True}):
+            spec = {**workload.spec().to_dict(), "options": options}
+            status, body = _post_error(server.url, "/execute", spec)
+            assert status == 400
+            assert body["error"]["type"] == "RankingError"
+
     def test_malformed_json_is_400(self, server):
         request = urllib.request.Request(
             server.url + "/execute", data=b"%% not json %%",
